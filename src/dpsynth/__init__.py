@@ -49,6 +49,7 @@ from .diffusion import (
     init_params,
     load_checkpoint,
     loss_and_per_example_grads,
+    loss_and_weighted_grad_sum,
     sample,
     save_checkpoint,
 )

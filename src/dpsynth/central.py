@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accounting import MechanismEvent
-from .core import ImageTensor, InvalidArgumentError, LabeledDataset, RngSeed, gaussian_noise
+from .core import ImageTensor, InvalidArgumentError, LabeledDataset, RngSeed, clip_factors, gaussian_noise
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,15 @@ def poisson_subsample(n: int, rate: float, rng: RngSeed) -> np.ndarray:
 
 def clip_image(x: ImageTensor, norm_bound: float) -> ImageTensor:
     """Scale into the L2 ball of radius norm_bound; zero images pass through."""
-    if norm_bound <= 0.0:
-        raise InvalidArgumentError("norm bound must be positive")
-    norm = float(np.linalg.norm(x.data))
-    if norm <= norm_bound:
+    (factor,) = clip_factors(np.array([np.linalg.norm(x.data)]), norm_bound)
+    if factor == 1.0:
         return x
-    return ImageTensor(x.width, x.height, x.channels, x.data * (norm_bound / norm))
+    return ImageTensor(x.width, x.height, x.channels, x.data * factor)
 
 
 def clip_rows(pixels: np.ndarray, norm_bound: float) -> np.ndarray:
     """Row-wise L2 clip of an (N, D) matrix; rows within the ball unchanged."""
-    norms = np.linalg.norm(pixels, axis=1)
-    factors = np.minimum(1.0, norm_bound / np.maximum(norms, 1e-300))
-    return pixels * factors[:, None]
+    return pixels * clip_factors(np.linalg.norm(pixels, axis=1), norm_bound)[:, None]
 
 
 def mean_aggregate(pixels: np.ndarray, indices: np.ndarray, norm_bound: float, expected_batch: float) -> np.ndarray:

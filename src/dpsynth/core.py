@@ -130,6 +130,25 @@ def gaussian_noise(shape: Sequence[int] | int, std: float, rng: RngSeed) -> np.n
     return std * rng.generator().standard_normal(shape)
 
 
+def clip_factors(norms: np.ndarray, bound: float) -> np.ndarray:
+    """Per-row L2 clip factors min(1, bound / norm); rows inside the ball get exactly 1.
+
+    This is the one place every clip in the package is decided, so it fails
+    closed: a non-finite norm, or a factor that would leave a row outside the
+    ball, raises instead of releasing an unbounded contribution. The checks
+    are explicit so that `python -O` keeps them.
+    """
+    if bound <= 0.0:
+        raise InvalidArgumentError("clip bound must be positive")
+    norms = np.asarray(norms, dtype=np.float64)
+    if not np.all(np.isfinite(norms)):
+        raise InvalidArgumentError("cannot clip: a norm is not finite")
+    factors = np.minimum(1.0, bound / np.maximum(norms, 1e-300))
+    if np.any(norms * factors > bound * (1.0 + 1e-9)):
+        raise InvalidArgumentError("clip bound violated")
+    return factors
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Ordered (image, label) pairs of uniform shape with label count."""

@@ -5,9 +5,14 @@ The forward process corrupts an image in closed form,
 ``abar_t`` the cumulative product of (1 - beta_s). A small fully-connected
 network predicts the injected noise from (x_t, timestep, optional label); its
 training objective is the squared error ``||e - predicted||^2`` averaged over
-one or more noise draws per example. Gradients are reverse-mode by hand, one
-gradient vector per example, which is exactly the shape DP-SGD clipping
-needs. Generation runs the reverse process: estimate the clean image from the
+one or more noise draws per example. Gradients are reverse-mode by hand.
+Training never materialises per-example gradients: every per-example
+gradient of a dense layer is a sum of outer products, so one backward pass
+yields each example's gradient norm from the layer activations and output
+gradients, then a per-example weighted sum of gradients as one matmul per
+layer ("ghost clipping"). `loss_and_per_example_grads` still builds the
+(B, P) matrix; it is the reference the tests hold the fused pass to.
+Generation runs the reverse process: estimate the clean image from the
 predicted noise, re-noise to the previous timestep, repeat.
 
 Parameters live in one flat float64 vector addressed through a shape
@@ -22,7 +27,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -339,6 +344,36 @@ def _backward(views, manifest, cache, dout):
     return flat
 
 
+def _noise_draws(
+    manifest: ParamManifest,
+    schedule: NoiseSchedule,
+    rng: RngSeed,
+    n: int,
+    k: int,
+    example_ids: Optional[Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(timesteps (n, k), noise (n, k, D)) for a batch of n examples.
+
+    With `example_ids`, example i draws from its own stream rng.derive(id),
+    so its draws do not depend on the rest of the batch; otherwise all draws
+    come from rng's single sequential stream.
+    """
+    T = schedule.num_steps
+    if example_ids is None:
+        gen = rng.generator()
+        return gen.integers(1, T + 1, size=(n, k)), gen.standard_normal((n, k, manifest.data_dim))
+    ids = list(example_ids)
+    if len(ids) != n:
+        raise InvalidArgumentError("example_ids must match the batch size")
+    ts = np.empty((n, k), dtype=np.int64)
+    es = np.empty((n, k, manifest.data_dim))
+    for i, ex in enumerate(ids):
+        gen = rng.derive(int(ex)).generator()
+        ts[i] = gen.integers(1, T + 1, size=k)
+        es[i] = gen.standard_normal((k, manifest.data_dim))
+    return ts, es
+
+
 def loss_and_per_example_grads(
     params: DenoiserParams,
     x0: np.ndarray,
@@ -348,14 +383,15 @@ def loss_and_per_example_grads(
     noise_multiplicity: int = 1,
     example_ids: Optional[Sequence[int]] = None,
 ) -> DiffusionBatchLoss:
-    """Noise-prediction loss and per-example gradients for a batch.
+    """Noise-prediction loss and materialised per-example gradients for a batch.
 
     Each example draws `noise_multiplicity` (timestep, noise) pairs; its loss
     is the average squared error over the draws and its gradient is the exact
     gradient of that average. When `example_ids` is given, each example's
     draws come from its own derived stream keyed by its id, making the result
     independent of batch order; otherwise draws come from one sequential
-    stream (cheaper, used by the non-private warm-up).
+    stream. Training uses `loss_and_weighted_grad_sum`, which yields the same
+    sums without the (B, P) matrix; this function is its reference.
     """
     if noise_multiplicity < 1:
         raise InvalidArgumentError("noise multiplicity must be >= 1")
@@ -364,27 +400,12 @@ def loss_and_per_example_grads(
     n = x0.shape[0]
     views = m.views(params.vector)
     abars = schedule.alpha_bars
-    T = schedule.num_steps
     k = noise_multiplicity
 
     if n == 0:
         return DiffusionBatchLoss(0.0, np.zeros(0), np.zeros((0, m.num_params)))
 
-    if example_ids is not None:
-        ids = list(example_ids)
-        if len(ids) != n:
-            raise InvalidArgumentError("example_ids must match the batch size")
-        ts = np.empty((n, k), dtype=np.int64)
-        es = np.empty((n, k, m.data_dim))
-        for i, ex in enumerate(ids):
-            gen = rng.derive(int(ex)).generator()
-            ts[i] = gen.integers(1, T + 1, size=k)
-            es[i] = gen.standard_normal((k, m.data_dim))
-    else:
-        gen = rng.generator()
-        ts = gen.integers(1, T + 1, size=(n, k))
-        es = gen.standard_normal((n, k, m.data_dim))
-
+    ts, es = _noise_draws(m, schedule, rng, n, k, example_ids)
     losses = np.zeros(n)
     grads = np.zeros((n, m.num_params))
     for j in range(k):
@@ -397,6 +418,82 @@ def loss_and_per_example_grads(
         losses += np.sum(resid * resid, axis=1) / k
         grads += _backward(views, m, cache, 2.0 * resid / k)
     return DiffusionBatchLoss(float(losses.mean()), losses, grads)
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """Per-example Gram matrices of the k draws: (n, k, d) -> (n, k, k)."""
+    return np.einsum("nkd,nld->nkl", a, a)
+
+
+def loss_and_weighted_grad_sum(
+    params: DenoiserParams,
+    x0: np.ndarray,
+    labels: Optional[np.ndarray],
+    schedule: NoiseSchedule,
+    rng: RngSeed,
+    weights: Callable[[np.ndarray], np.ndarray],
+    noise_multiplicity: int = 1,
+    example_ids: Optional[Sequence[int]] = None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(sum_i c_i g_i, per-example gradient norms ||g_i||, mean loss), with c = weights(norms).
+
+    g_i is the gradient `loss_and_per_example_grads` would return for
+    example i, from the same draws, but no g_i is ever formed. A dense
+    layer's per-example gradient is sum_j delta_ij h_ij^T over the k draws,
+    where delta are the layer's output gradients and h its inputs, so its
+    squared norm is sum_jl (delta_ij . delta_il)(h_ij . h_il) and a bias
+    contributes sum_jl delta_ij . delta_il. An example's label is the same in
+    all its draws, so its embedding row gets sum_j demb_ij. The weighted sum
+    is then one matmul (c * delta)^T h per layer. DP-SGD passes clip factors
+    as weights; the non-private warm-up passes 1/B.
+    """
+    if noise_multiplicity < 1:
+        raise InvalidArgumentError("noise multiplicity must be >= 1")
+    m = params.manifest
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = x0.shape[0]
+    k = noise_multiplicity
+    grad = np.zeros(m.num_params)
+    if n == 0:
+        return grad, np.zeros(0), 0.0
+
+    # All n * k draws go through the network as one batch, row i * k + j.
+    ts, es = _noise_draws(m, schedule, rng, n, k, example_ids)
+    t = ts.reshape(-1)
+    e = es.reshape(n * k, m.data_dim)
+    ab = schedule.alpha_bars[t - 1][:, None]
+    x_t = np.sqrt(ab) * np.repeat(x0, k, axis=0) + np.sqrt(1.0 - ab) * e
+    rows_labels = None if labels is None else np.repeat(np.asarray(labels), k)
+    views = m.views(params.vector)
+    out, (z0, a1, h1, a2, h2, lab) = _forward_cached(views, m, x_t, t, rows_labels)
+    resid = out - e
+    losses = (np.sum(resid * resid, axis=1) / k).reshape(n, k).sum(axis=1)
+
+    d3 = 2.0 * resid / k
+    d2 = (d3 @ views["W3"]) * _silu_grad(a2)
+    d1 = (d2 @ views["W2"]) * _silu_grad(a1)
+    demb = (d1 @ views["W1"])[:, m.data_dim + m.time_dim :].reshape(n, k, m.label_dim).sum(axis=1)
+    layers = (("W1", "b1", d1, z0), ("W2", "b2", d2, h1), ("W3", "b3", d3, h2))
+
+    sq = np.sum(demb * demb, axis=1)
+    for _, _, delta, h in layers:
+        gd = _gram(delta.reshape(n, k, -1))
+        # the + 1 adds the bias block's sum_jl delta_ij . delta_il
+        sq += np.sum(gd * (_gram(h.reshape(n, k, -1)) + 1.0), axis=(1, 2))
+    # the Gram forms are non-negative; rounding can dip a zero norm just below 0
+    norms = np.sqrt(np.maximum(sq, 0.0))
+
+    c = np.asarray(weights(norms), dtype=np.float64)
+    if c.shape != (n,):
+        raise InvalidArgumentError("weights must give one factor per example")
+    g = m.views(grad)
+    c_rows = np.repeat(c, k)[:, None]
+    for w_name, b_name, delta, h in layers:
+        cd = c_rows * delta
+        g[w_name][...] = cd.T @ h
+        g[b_name][...] = cd.sum(axis=0)
+    np.add.at(g["emb"], lab[::k], c[:, None] * demb)
+    return grad, norms, float(losses.mean())
 
 
 def sample(

@@ -3,6 +3,9 @@
 Each step Poisson-samples a batch, clips every per-example gradient to an L2
 bound, sums, normalizes by the *expected* batch size, perturbs with Gaussian
 noise scaled by bound / expected batch, and takes a plain gradient step. The
+loss engine never hands back per-example gradients: it reports their norms,
+this module turns them into clip factors (`core.clip_factors`, which fails
+closed), and the engine returns the clipped sum directly. The
 expected-batch normalization is what ties the added noise to the mechanism's
 sensitivity; normalizing by the realized batch size would break the privacy
 analysis, so it is never done here. Every step reports exactly one mechanism
@@ -18,11 +21,13 @@ import numpy as np
 
 from .accounting import MechanismEvent, PrivacySpec
 from .central import poisson_subsample
-from .core import InvalidArgumentError, LabeledDataset, RngSeed, gaussian_noise
-from .diffusion import DenoiserParams, DiffusionBatchLoss
+from .core import InvalidArgumentError, LabeledDataset, RngSeed, clip_factors, gaussian_noise
+from .diffusion import DenoiserParams
 
-# engine(params, x0_batch, labels_batch, rng, example_ids) -> DiffusionBatchLoss
-LossEngine = Callable[..., DiffusionBatchLoss]
+# engine(params, x0_batch, labels_batch, rng, weights, example_ids)
+#   -> (sum_i weights(norms)_i g_i, pre-clip norms ||g_i||, mean loss);
+# dp_step passes the clip factors as weights, so the sum comes back clipped.
+LossEngine = Callable[..., tuple[np.ndarray, np.ndarray, float]]
 
 
 @dataclass(frozen=True)
@@ -51,20 +56,10 @@ class DpSgdConfig:
 
 def clip_gradient(grad: np.ndarray, clip_bound: float) -> np.ndarray:
     """min(1, clip_bound / ||g||) * g; gradients inside the ball unchanged."""
-    if clip_bound <= 0.0:
-        raise InvalidArgumentError("clip bound must be positive")
-    norm = float(np.linalg.norm(grad))
-    if norm <= clip_bound:
+    (factor,) = clip_factors(np.array([np.linalg.norm(grad)]), clip_bound)
+    if factor == 1.0:
         return np.asarray(grad, dtype=np.float64)
-    return grad * (clip_bound / norm)
-
-
-def _clip_rows(grads: np.ndarray, clip_bound: float) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(grads, axis=1)
-    factors = np.minimum(1.0, clip_bound / np.maximum(norms, 1e-300))
-    clipped = grads * factors[:, None]
-    assert np.all(norms * factors <= clip_bound * (1.0 + 1e-9)), "clip bound violated"
-    return clipped, norms
+    return grad * factor
 
 
 @dataclass(frozen=True)
@@ -87,16 +82,14 @@ def dp_step(
     idx = poisson_subsample(len(ds), cfg.sampling_rate, rng.derive(0))
 
     if len(idx):
-        batch = engine(
+        grad_sum, norms, loss = engine(
             params,
             ds.pixel_matrix()[idx],
             ds.label_array()[idx],
             rng.derive(2),
+            lambda norms: clip_factors(norms, cfg.clip_bound),
             example_ids=idx,
         )
-        clipped, norms = _clip_rows(batch.per_example_grads, cfg.clip_bound)
-        grad_sum = clipped.sum(axis=0)
-        loss = batch.loss
         quantiles = tuple(float(v) for v in np.quantile(norms, [0.1, 0.5, 0.9]))
     else:
         grad_sum = np.zeros(params.manifest.num_params)

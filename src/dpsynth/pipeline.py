@@ -32,7 +32,7 @@ from .diffusion import (
     NoiseSchedule,
     ParamManifest,
     init_params,
-    loss_and_per_example_grads,
+    loss_and_weighted_grad_sum,
     sample,
     save_checkpoint,
 )
@@ -268,15 +268,15 @@ def warmup_train(
         for j, i in enumerate(idx):
             batch[j] = apply_chain(pixels[i].reshape(shape3d), bag, gen).reshape(-1)
         batch_labels = labels[idx] if labels is not None else None
-        result = loss_and_per_example_grads(
+        grad, _, _ = loss_and_weighted_grad_sum(
             params,
             batch,
             batch_labels,
             schedule,
             rng.derive(it, 1),
+            lambda norms: np.full(norms.shape, 1.0 / cfg.batch_size),
             noise_multiplicity=cfg.noise_multiplicity,
         )
-        grad = result.per_example_grads.mean(axis=0)
         params = params.replace_vector(params.vector - cfg.learning_rate * grad)
     return params
 
@@ -341,13 +341,14 @@ def run_stage2(
         steps=cfg.finetune.steps,
     )
 
-    def engine(p, x0, labels, erng, example_ids=None):
-        return loss_and_per_example_grads(
+    def engine(p, x0, labels, erng, weights, example_ids=None):
+        return loss_and_weighted_grad_sum(
             p,
             x0,
             labels,
             schedule,
             erng,
+            weights,
             noise_multiplicity=cfg.finetune.noise_multiplicity,
             example_ids=example_ids,
         )

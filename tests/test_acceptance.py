@@ -32,7 +32,6 @@ from dpsynth.central import (
 )
 from dpsynth.core import LabeledDataset
 from dpsynth.diffusion import (
-    DiffusionBatchLoss,
     NoiseSchedule,
     ParamManifest,
     forward_noise,
@@ -297,8 +296,8 @@ def test_a7_dpsgd_noise_statistics():
     ds = LabeledDataset.from_arrays(pixels, [0] * 20, 3, (4, 4, 1))
     cfg = DpSgdConfig(learning_rate=1.5, clip_bound=2.0, noise_scale=1.2, sampling_rate=0.5, steps=1)
 
-    def zero_engine(p, x0, labels, erng, example_ids=None):
-        return DiffusionBatchLoss(0.0, np.zeros(x0.shape[0]), np.zeros((x0.shape[0], p.manifest.num_params)))
+    def zero_engine(p, x0, labels, erng, weights, example_ids=None):
+        return np.zeros(p.manifest.num_params), np.zeros(x0.shape[0]), 0.0
 
     t0 = time.time()
     params = zero_params(manifest)

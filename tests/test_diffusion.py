@@ -3,6 +3,7 @@ import pytest
 
 import dpsynth.diffusion as diffusion_mod
 from dpsynth import ImageTensor, InvalidArgumentError, RngSeed
+from dpsynth.core import clip_factors
 from dpsynth.diffusion import (
     DenoiserParams,
     NoiseSchedule,
@@ -13,6 +14,7 @@ from dpsynth.diffusion import (
     init_params,
     load_checkpoint,
     loss_and_per_example_grads,
+    loss_and_weighted_grad_sum,
     sample,
     save_checkpoint,
     zero_params,
@@ -225,6 +227,78 @@ class TestGradients:
         g1 = np.stack([grad_with(1, t) for t in range(100)])
         g4 = np.stack([grad_with(4, t) for t in range(100)])
         assert g4.var(axis=0).mean() < g1.var(axis=0).mean()
+
+
+def _random_manifest(gen) -> ParamManifest:
+    return ParamManifest(
+        height=int(gen.integers(2, 5)),
+        width=int(gen.integers(2, 5)),
+        channels=int(gen.choice([1, 3])),
+        hidden1=int(gen.integers(4, 10)),
+        hidden2=int(gen.integers(4, 10)),
+        time_dim=int(gen.choice([2, 4, 8])),
+        num_classes=int(gen.integers(2, 5)),
+        label_dim=int(gen.integers(2, 5)),
+    )
+
+
+def _close(a, b) -> bool:
+    """Within 1e-12 of the largest entry of the reference b."""
+    return np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
+
+
+class TestWeightedGradSum:
+    """The fused path against the materialising reference, on A6-style manifests."""
+
+    CASES = [
+        (k, n, with_labels, with_ids)
+        for k in (1, 2, 4)
+        for n in (1, 6)
+        for with_labels in (True, False)
+        for with_ids in (True, False)
+    ]
+
+    @pytest.mark.parametrize("k,n,with_labels,with_ids", CASES)
+    def test_matches_materialised_reference(self, k, n, with_labels, with_ids):
+        gen = np.random.default_rng([k, n, with_labels, with_ids])
+        m = _random_manifest(gen)
+        schedule = NoiseSchedule.linear(int(gen.integers(5, 30)))
+        params = init_params(m, RngSeed(int(gen.integers(1000))))
+        x0 = gen.random((n, m.data_dim))
+        # two classes at most, so a batch of 6 repeats labels (and None repeats the sentinel)
+        labels = gen.integers(0, 2, n) if with_labels else None
+        ids = gen.permutation(500)[:n] if with_ids else None
+        args = (params, x0, labels, schedule, RngSeed(31).derive(k, n))
+
+        ref = loss_and_per_example_grads(*args, k, ids)
+        ref_norms = np.linalg.norm(ref.per_example_grads, axis=1)
+        bound = float(np.median(ref_norms)) * 0.9  # clips some rows, not necessarily all
+
+        def clip(norms):
+            return clip_factors(norms, bound)
+
+        total, norms, loss = loss_and_weighted_grad_sum(*args, clip, k, ids)
+        expected = (ref.per_example_grads * clip(ref_norms)[:, None]).sum(axis=0)
+        assert _close(norms, ref_norms)
+        assert _close(total, expected)
+        assert loss == pytest.approx(ref.loss, rel=1e-12)
+
+        mean, _, _ = loss_and_weighted_grad_sum(*args, lambda nn: np.full(n, 1.0 / n), k, ids)
+        assert _close(mean, ref.per_example_grads.mean(axis=0))
+
+    def test_empty_batch(self, rng):
+        params = init_params(TINY, rng)
+        total, norms, loss = loss_and_weighted_grad_sum(
+            params, np.zeros((0, 16)), None, NoiseSchedule.linear(10), rng, np.ones_like
+        )
+        assert np.array_equal(total, np.zeros(TINY.num_params)) and norms.shape == (0,) and loss == 0.0
+
+    def test_weights_must_match_batch(self, rng):
+        params = init_params(TINY, rng)
+        with pytest.raises(InvalidArgumentError, match="one factor per example"):
+            loss_and_weighted_grad_sum(
+                params, np.zeros((3, 16)), None, NoiseSchedule.linear(10), rng, lambda nn: np.ones(2)
+            )
 
 
 class TestSampling:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,12 +16,13 @@ from dpsynth import (
     TrainHooks,
     clip_gradient,
 )
+from dpsynth.core import InvalidArgumentError, clip_factors
 from dpsynth.diffusion import (
-    DiffusionBatchLoss,
     NoiseSchedule,
     ParamManifest,
     init_params,
     loss_and_per_example_grads,
+    loss_and_weighted_grad_sum,
     zero_params,
 )
 from dpsynth.dpsgd import dp_step, train
@@ -34,13 +40,12 @@ def ds():
     return LabeledDataset.from_arrays(pixels, gen.integers(0, 3, 24).tolist(), 3, (4, 4, 1))
 
 
-def diffusion_engine(p, x0, labels, erng, example_ids=None):
-    return loss_and_per_example_grads(p, x0, labels, SCHED, erng, 1, example_ids)
+def diffusion_engine(p, x0, labels, erng, weights, example_ids=None):
+    return loss_and_weighted_grad_sum(p, x0, labels, SCHED, erng, weights, 1, example_ids)
 
 
-def zero_engine(p, x0, labels, erng, example_ids=None):
-    n = x0.shape[0]
-    return DiffusionBatchLoss(0.0, np.zeros(n), np.zeros((n, p.manifest.num_params)))
+def zero_engine(p, x0, labels, erng, weights, example_ids=None):
+    return np.zeros(p.manifest.num_params), np.zeros(x0.shape[0]), 0.0
 
 
 class TestClipGradient:
@@ -57,6 +62,71 @@ class TestClipGradient:
         assert np.all(clip_gradient(np.zeros(5), 1.0) == 0.0)
 
 
+class TestClipFactors:
+    def test_factors_and_inactive_rows(self):
+        f = clip_factors(np.array([0.0, 0.5, 1.0, 4.0]), 1.0)
+        assert np.array_equal(f, [1.0, 1.0, 1.0, 0.25])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_fails_closed(self, bad):
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            clip_factors(np.array([0.3, bad]), 1.0)
+
+    def test_non_finite_norm_fails_closed_under_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import numpy as np\n"
+            "from dpsynth.core import InvalidArgumentError, clip_factors\n"
+            "try:\n"
+            "    clip_factors(np.array([1.0, np.nan]), 0.5)\n"
+            "except InvalidArgumentError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
+    def test_nonpositive_bound_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            clip_factors(np.ones(3), 0.0)
+
+
+class TestFusedClippedSum:
+    def test_neighbouring_datasets_differ_by_at_most_clip_bound(self):
+        """D versus D + {x}: the clipped sums differ by x's clipped gradient alone."""
+        gen = np.random.default_rng(404)
+        worst = 0.0
+        for pair in range(200):
+            params = init_params(MANIFEST, RngSeed(pair % 7))
+            n = int(gen.integers(0, 20))
+            pixels = gen.random((n + 1, MANIFEST.data_dim))
+            labels = gen.integers(0, MANIFEST.num_classes, n + 1)
+            ids = gen.permutation(1000)[: n + 1]
+            shared = np.flatnonzero(gen.random(n) < gen.uniform(0.1, 0.9))
+            with_new = np.append(shared, n)
+            bound = float(gen.uniform(0.05, 3.0))
+            k = int(gen.choice([1, 2]))
+            erng = RngSeed(77).derive(pair)
+
+            def clipped_sum(rows):
+                s, _, _ = loss_and_weighted_grad_sum(
+                    params, pixels[rows], labels[rows], SCHED, erng,
+                    lambda norms: clip_factors(norms, bound), k, ids[rows],
+                )
+                return s
+
+            diff = float(np.linalg.norm(clipped_sum(with_new) - clipped_sum(shared)))
+            worst = max(worst, diff / bound)
+            assert diff <= bound * (1 + 1e-12), f"pair {pair}: {diff} > {bound}"
+        assert worst > 0.5  # the bound is reached, not trivially satisfied
+
+
 class TestDpStep:
     def test_reduces_to_full_batch_sgd_without_noise(self, ds):
         params = init_params(MANIFEST, RngSeed(1))
@@ -65,17 +135,24 @@ class TestDpStep:
         stepped, event, stats = dp_step(params, ds, cfg, diffusion_engine, RngSeed(2))
         assert event is None
         assert stats.batch_size == len(ds)
-        batch = diffusion_engine(params, ds.pixel_matrix(), ds.label_array(), RngSeed(2).derive(2), example_ids=np.arange(len(ds)))
-        expected = params.vector - 0.1 * (batch.per_example_grads.sum(axis=0) / len(ds))
+        args = (params, ds.pixel_matrix(), ds.label_array(), SCHED, RngSeed(2).derive(2))
+        ids = np.arange(len(ds))
+        grad_sum, _, _ = loss_and_weighted_grad_sum(*args, np.ones_like, 1, ids)
+        expected = params.vector - 0.1 * (grad_sum / len(ds))
         # with sigma = 0 and q = 1 the private step IS the plain SGD step, bit for bit
         assert np.array_equal(stepped.vector, expected)
+        # and the engine's unclipped sum is the materialised per-example sum
+        reference = loss_and_per_example_grads(*args, 1, ids).per_example_grads.sum(axis=0)
+        assert np.abs(grad_sum - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_single_example_closed_form_clipped(self, ds):
         params = init_params(MANIFEST, RngSeed(3))
         one = ds.subset([5])
         cfg = DpSgdConfig(learning_rate=1.0, clip_bound=0.5, noise_scale=0.0, sampling_rate=1.0, steps=1)
         stepped, _, _ = dp_step(params, one, cfg, diffusion_engine, RngSeed(4))
-        g = diffusion_engine(params, one.pixel_matrix(), one.label_array(), RngSeed(4).derive(2), example_ids=[0]).per_example_grads[0]
+        g = loss_and_per_example_grads(
+            params, one.pixel_matrix(), one.label_array(), SCHED, RngSeed(4).derive(2), 1, [0]
+        ).per_example_grads[0]
         clipped = g * min(1.0, 0.5 / np.linalg.norm(g))
         assert np.allclose(stepped.vector, params.vector - clipped, rtol=1e-12, atol=1e-15)
 
