@@ -11,13 +11,25 @@ privacy ledger.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .accounting import MechanismEvent
 from .core import ImageTensor, InvalidArgumentError, LabeledDataset, RngSeed, clip_factors, gaussian_noise
+
+
+def _check_query(cfg: "MeanQueryConfig | ModeQueryConfig") -> None:
+    """The checks every central query config shares."""
+    if cfg.count < 1:
+        raise InvalidArgumentError("count must be positive")
+    if not (0.0 < cfg.sampling_rate <= 1.0):
+        raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {cfg.sampling_rate}")
+    if cfg.noise_scale < 0.0:
+        raise InvalidArgumentError("noise scale must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -28,12 +40,7 @@ class MeanQueryConfig:
     norm_bound: float    # L2 clip bound on each sampled image
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InvalidArgumentError("count must be positive")
-        if not (0.0 < self.sampling_rate <= 1.0):
-            raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {self.sampling_rate}")
-        if self.noise_scale < 0.0:
-            raise InvalidArgumentError("noise scale must be non-negative")
+        _check_query(self)
         if self.norm_bound <= 0.0:
             raise InvalidArgumentError("norm bound must be positive")
 
@@ -47,39 +54,34 @@ class ModeQueryConfig:
     p_max: float = 1.0   # pixel range upper bound; 1.0 after [0,1] normalization
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InvalidArgumentError("count must be positive")
-        if not (0.0 < self.sampling_rate <= 1.0):
-            raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {self.sampling_rate}")
-        if self.noise_scale < 0.0:
-            raise InvalidArgumentError("noise scale must be non-negative")
+        _check_query(self)
         if self.bins < 2:
             raise InvalidArgumentError("need at least 2 histogram bins")
         if self.p_max <= 0.0:
             raise InvalidArgumentError("p_max must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralImageSet:
-    """Noisy central images, their optional labels, and charged events."""
+    """Noisy central images as a (count, H*W*C) matrix, optional labels, and charged events."""
 
-    images: tuple[ImageTensor, ...]
-    labels: Optional[tuple[int, ...]]
+    pixels: np.ndarray
+    labels: Optional[np.ndarray]
     kind: str
     config: dict = field(default_factory=dict)
     events: tuple[MechanismEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.labels is not None and len(self.labels) != len(self.images):
+        if self.labels is not None and len(self.labels) != len(self.pixels):
             raise InvalidArgumentError("labels must match images one to one")
         if self.kind not in ("mean", "mode"):
             raise InvalidArgumentError(f"unknown central image kind {self.kind!r}")
 
     def __len__(self) -> int:
-        return len(self.images)
+        return len(self.pixels)
 
     def pixel_matrix(self) -> np.ndarray:
-        return np.stack([img.data for img in self.images])
+        return self.pixels
 
 
 def poisson_subsample(n: int, rate: float, rng: RngSeed) -> np.ndarray:
@@ -235,41 +237,36 @@ def query_central_set(
     """
     if kind not in ("mean", "mode"):
         raise InvalidArgumentError(f"unknown central image kind {kind!r}")
-
-    def run_queries(sub: LabeledDataset, n: int, sub_rng: RngSeed, partition: Optional[str]):
-        images, events = [], []
-        for i in range(n):
-            if kind == "mean":
-                img, ev = query_mean_image(sub, cfg, sub_rng.derive(i))
-            else:
-                img, ev = query_mode_image(sub, cfg, sub_rng.derive(i))
-            images.append(img)
-            if ev is not None:
-                if partition is not None and parallel_accounting:
-                    ev = MechanismEvent(ev.kind, ev.q, ev.sigma, ev.repetitions, partition)
-                events.append(ev)
-        return images, events
-
-    images: list[ImageTensor] = []
-    labels: Optional[list[int]] = None
-    events: list[MechanismEvent] = []
+    query = query_mean_image if kind == "mean" else query_mode_image
+    # (dataset, query count, stream, accounting partition) per queried subset
     if per_label:
         parts = ds.partition_by_label()
         if not parts:
             raise InvalidArgumentError("per-label querying requires a non-empty dataset")
-        labels = []
         counts = _split_count(cfg.count, len(parts))
-        for (label, sub), n in zip(parts.items(), counts):
-            imgs, evs = run_queries(sub, n, rng.derive(label), partition=f"label={label}")
-            images.extend(imgs)
-            labels.extend([label] * len(imgs))
-            events.extend(evs)
+        labels = np.repeat(np.fromiter(parts, dtype=np.int64), counts)
+        jobs = [
+            (sub, n, rng.derive(label), f"label={label}" if parallel_accounting else None)
+            for (label, sub), n in zip(parts.items(), counts)
+        ]
     else:
-        images, events = run_queries(ds, cfg.count, rng, partition=None)
+        labels = None
+        jobs = [(ds, cfg.count, rng, None)]
+
+    pixels = np.empty((cfg.count, math.prod(ds.image_shape)))
+    events: list[MechanismEvent] = []
+    row = 0
+    for sub, n, sub_rng, partition in jobs:
+        for i in range(n):
+            img, ev = query(sub, cfg, sub_rng.derive(i))
+            pixels[row] = img.data
+            row += 1
+            if ev is not None:
+                events.append(dataclasses.replace(ev, partition=partition))
 
     return CentralImageSet(
-        images=tuple(images),
-        labels=tuple(labels) if labels is not None else None,
+        pixels=pixels,
+        labels=labels,
         kind=kind,
         config={
             "count": cfg.count,

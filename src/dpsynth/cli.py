@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import traceback
 
@@ -20,7 +19,6 @@ from . import data_io, pipeline
 from .accounting import (
     BudgetExhaustedError,
     MechanismEvent,
-    PrivacySpec,
     calibrate_sigma_f,
     compose,
     rdp_to_dp,
@@ -118,33 +116,23 @@ def cmd_query_central(args) -> int:
     from .central import query_central_set
 
     ds = data_io.load_container(args.data).to_dataset()
-    shape = ds.image_shape
-    if args.kind == "mean":
-        bound = args.norm_bound if args.norm_bound is not None else math.sqrt(np.prod(shape))
-        qcfg = pipeline.MeanQueryConfig(args.count, args.sampling_rate, args.noise_scale, bound)
-    else:
-        qcfg = pipeline.ModeQueryConfig(args.count, args.sampling_rate, args.noise_scale, args.bins)
+    ccfg = pipeline.CentralConfig(
+        kind=args.kind,
+        count=args.count,
+        sampling_rate=args.sampling_rate,
+        noise_scale=args.noise_scale,
+        norm_bound=args.norm_bound,
+        bins=args.bins,
+    )
     central = query_central_set(
         ds,
         args.kind,
-        qcfg,
+        pipeline.central_query_config(ccfg, ds.image_shape),
         RngSeed(args.seed).derive(1),
         per_label=args.per_label,
         parallel_accounting=args.parallel_accounting,
     )
-    provenance = {
-        "kind": central.kind,
-        "config": central.config,
-        "events": [ev.to_dict() for ev in central.events],
-    }
-    data_io.save_container(
-        args.out,
-        "central",
-        central.pixel_matrix(),
-        shape,
-        labels=np.asarray(central.labels, dtype=np.int64) if central.labels else None,
-        provenance=provenance,
-    )
+    pipeline.save_central(args.out, central, ds.image_shape)
     if args.events_out:
         with open(args.events_out, "w") as f:
             json.dump([ev.to_dict() for ev in central.events], f, indent=2, sort_keys=True)
@@ -178,12 +166,7 @@ def cmd_warmup(args) -> int:
     from .diffusion import save_checkpoint
 
     cfg = _load_config(args)
-    rng = RngSeed(cfg.seed)
-    ds = pipeline.load_dataset(cfg.dataset, rng.derive(0))
-    manifest = pipeline.build_manifest(cfg.model, ds.image_shape, ds.num_classes)
-    schedule = pipeline.build_schedule(cfg.model)
-    ledger = PrivacySpec(cfg.privacy.epsilon, cfg.privacy.delta)
-    params = pipeline.init_params(manifest, rng.derive(10))
+    rng, ds, schedule, ledger, params = pipeline.initial_state(cfg)
     params, central = pipeline.run_stage1(cfg, ds, params, ledger, rng, schedule)
     save_checkpoint(args.out, params, schedule)
     with open(args.ledger_out, "w") as f:
@@ -199,13 +182,15 @@ def cmd_finetune(args) -> int:
     from .diffusion import save_checkpoint
 
     cfg = _load_config(args)
-    rng = RngSeed(cfg.seed)
-    ds = pipeline.load_dataset(cfg.dataset, rng.derive(0))
-    schedule = pipeline.build_schedule(cfg.model)
+    if cfg.central.kind != "none" and not args.ledger:
+        raise InvalidArgumentError(
+            f"stage one of this config charges {cfg.central.kind} queries; pass their ledger "
+            "with --ledger, or sigma_f would be calibrated as if they were free"
+        )
+    rng, ds, schedule, ledger, _ = pipeline.initial_state(cfg)
     params, ck_schedule = load_checkpoint(args.checkpoint)
     if ck_schedule.betas != schedule.betas:
         schedule = ck_schedule
-    ledger = PrivacySpec(cfg.privacy.epsilon, cfg.privacy.delta)
     if args.ledger:
         with open(args.ledger) as f:
             for d in json.load(f)["events"]:
@@ -226,8 +211,7 @@ def cmd_sample(args) -> int:
     labels = None
     if args.conditional:
         labels = np.arange(args.count, dtype=np.int64) % m.num_classes
-    images = sample(params, schedule, args.count, RngSeed(args.seed), labels=labels)
-    pixels = np.stack([im.data for im in images]) if images else np.zeros((0, m.data_dim))
+    pixels = sample(params, schedule, args.count, RngSeed(args.seed), labels=labels)
     data_io.save_container(
         args.out,
         "synthetic",
@@ -257,12 +241,8 @@ def cmd_evaluate(args) -> int:
     if synth.labels is not None and real.labels is not None:
         num_classes = int(max(synth.labels.max(), real.labels.max())) + 1
         acc = train_probe_classifier(
-            LabeledDataset.from_arrays(
-                np.clip(synth.pixels, 0, 1), synth.labels.tolist(), num_classes, shape
-            ),
-            LabeledDataset.from_arrays(
-                np.clip(real.pixels, 0, 1), real.labels.tolist(), num_classes, shape
-            ),
+            LabeledDataset(np.clip(synth.pixels, 0, 1), synth.labels, num_classes, shape),
+            LabeledDataset(np.clip(real.pixels, 0, 1), real.labels, num_classes, shape),
         )
         _print_kv("acc", f"{acc:.6f}")
     if args.checkpoint:

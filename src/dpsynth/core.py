@@ -7,7 +7,8 @@ share one substrate. All types are immutable values; operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,9 +105,6 @@ class ImageTensor:
     def as_3d(self) -> np.ndarray:
         return self.data.reshape(self.height, self.width, self.channels)
 
-    def in_unit_range(self) -> bool:
-        return bool(np.all(self.data >= 0.0) and np.all(self.data <= 1.0))
-
     @classmethod
     def from_3d(cls, array: np.ndarray) -> "ImageTensor":
         a = np.asarray(array, dtype=np.float64)
@@ -149,69 +147,78 @@ def clip_factors(norms: np.ndarray, bound: float) -> np.ndarray:
     return factors
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Ordered (image, label) pairs of uniform shape with label count."""
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
 
-    images: tuple[ImageTensor, ...]
-    labels: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class LabeledDataset:
+    """Labeled images of one shape: an (N, H*W*C) pixel matrix in [0, 1] and N labels.
+
+    Both arrays are private read-only copies. Every check is vectorised and
+    raises InvalidArgumentError naming the first offending index.
+    """
+
+    pixels: np.ndarray
+    labels: np.ndarray
     num_classes: int
-    _pixels: np.ndarray = field(default=None, repr=False, compare=False)
+    image_shape: tuple[int, int, int]
 
     def __post_init__(self) -> None:
         if self.num_classes < 1:
             raise InvalidArgumentError("num_classes must be positive")
-        object.__setattr__(self, "images", tuple(self.images))
-        object.__setattr__(self, "labels", tuple(int(l) for l in self.labels))
-        if len(self.images) != len(self.labels):
-            raise InvalidArgumentError("images and labels must have equal length")
-        if self.images:
-            shape = self.images[0].shape
-            for i, img in enumerate(self.images):
-                if img.shape != shape:
-                    raise InvalidArgumentError(f"image {i} shape {img.shape} != {shape}")
-                if not img.in_unit_range():
-                    raise InvalidArgumentError(f"image {i} has values outside [0, 1]")
-        for i, l in enumerate(self.labels):
-            if not (0 <= l < self.num_classes):
-                raise InvalidArgumentError(f"label {l} at index {i} outside [0, {self.num_classes})")
-        if self._pixels is None:
-            if self.images:
-                mat = np.stack([img.data for img in self.images])
-            else:
-                mat = np.zeros((0, 0), dtype=np.float64)
-            object.__setattr__(self, "_pixels", _frozen(mat))
+        h, w, c = (int(v) for v in self.image_shape)
+        if min(h, w, c) < 1:
+            raise InvalidArgumentError("image dimensions must be positive")
+        pixels = _frozen(np.array(self.pixels, dtype=np.float64))
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise InvalidArgumentError(f"labels must be integers, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64)
+        labels.setflags(write=False)
+        if pixels.ndim != 2 or labels.ndim != 1:
+            raise InvalidArgumentError(
+                f"need an (N, D) pixel matrix and N labels, got shapes {pixels.shape} and {labels.shape}"
+            )
+        n, d = pixels.shape
+        if n != len(labels):
+            raise InvalidArgumentError(
+                f"images and labels must have equal length: {n} vs {len(labels)}, "
+                f"index {min(n, len(labels))} has no pair"
+            )
+        if d != h * w * c:
+            raise InvalidArgumentError(f"pixel rows have {d} values, not {h}x{w}x{c}; first bad index 0")
+        if n and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
+            finite = np.isfinite(pixels).all(axis=1)
+            if not finite.all():
+                raise InvalidArgumentError(f"image {_first(~finite)} has a non-finite value")
+            outside = ((pixels < 0.0) | (pixels > 1.0)).any(axis=1)
+            raise InvalidArgumentError(f"image {_first(outside)} has values outside [0, 1]")
+        bad = (labels < 0) | (labels >= self.num_classes)
+        if bad.any():
+            i = _first(bad)
+            raise InvalidArgumentError(f"label {labels[i]} at index {i} outside [0, {self.num_classes})")
+        object.__setattr__(self, "pixels", pixels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "image_shape", (h, w, c))
 
     def __len__(self) -> int:
-        return len(self.images)
-
-    @property
-    def image_shape(self) -> tuple[int, int, int]:
-        if not self.images:
-            raise InvalidArgumentError("empty dataset has no image shape")
-        return self.images[0].shape
+        return self.pixels.shape[0]
 
     def pixel_matrix(self) -> np.ndarray:
-        """(N, width*height*channels) read-only view of all images."""
-        return self._pixels
+        """(N, width*height*channels) read-only matrix of all images."""
+        return self.pixels
 
     def label_array(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=np.int64)
+        return self.labels
 
     def subset(self, indices: Iterable[int]) -> "LabeledDataset":
-        idx = list(indices)
-        return LabeledDataset(
-            images=tuple(self.images[i] for i in idx),
-            labels=tuple(self.labels[i] for i in idx),
-            num_classes=self.num_classes,
-        )
+        idx = np.fromiter(indices, dtype=np.int64)
+        return LabeledDataset(self.pixels[idx], self.labels[idx], self.num_classes, self.image_shape)
 
     def partition_by_label(self) -> dict[int, "LabeledDataset"]:
-        """Disjoint per-label subsets (labels keep their original values)."""
-        groups: dict[int, list[int]] = {}
-        for i, l in enumerate(self.labels):
-            groups.setdefault(l, []).append(i)
-        return {l: self.subset(ix) for l, ix in sorted(groups.items())}
+        """Disjoint per-label subsets in row order (labels keep their original values)."""
+        return {int(l): self.subset(np.flatnonzero(self.labels == l)) for l in np.unique(self.labels)}
 
     @classmethod
     def from_arrays(
@@ -222,7 +229,7 @@ class LabeledDataset:
         shape: tuple[int, int, int],
     ) -> "LabeledDataset":
         """Build from an (N, H*W*C) or (N, H, W, C) pixel array."""
-        h, w, c = shape
-        a = np.asarray(pixels, dtype=np.float64).reshape(len(labels), h * w * c)
-        images = tuple(ImageTensor(width=w, height=h, channels=c, data=row) for row in a)
-        return cls(images=images, labels=tuple(labels), num_classes=num_classes)
+        a = np.asarray(pixels, dtype=np.float64)
+        if a.ndim > 2:
+            a = a.reshape(len(a), math.prod(a.shape[1:]))
+        return cls(a, labels, num_classes, shape)

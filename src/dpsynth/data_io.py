@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ImageTensor, InvalidArgumentError, LabeledDataset, RngSeed
+from .core import InvalidArgumentError, LabeledDataset, RngSeed
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -82,9 +82,7 @@ def read_idx(images_path, labels_path, num_classes: Optional[int] = None) -> Lab
             f"label {labels[bad[0]]} at record {bad[0]} >= num_classes {num_classes}",
             8 + int(bad[0]),
         )
-    return LabeledDataset.from_arrays(
-        pixels.reshape(n, rows * cols), labels.tolist(), num_classes, (rows, cols, 1)
-    )
+    return LabeledDataset(pixels.reshape(n, rows * cols), labels, num_classes, (rows, cols, 1))
 
 
 def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
@@ -126,9 +124,7 @@ class ContainerFile:
             raise InvalidArgumentError("container carries no labels")
         if num_classes is None:
             num_classes = int(self.labels.max()) + 1 if self.count else 1
-        return LabeledDataset.from_arrays(
-            self.pixels, self.labels.tolist(), num_classes, (self.height, self.width, self.channels)
-        )
+        return LabeledDataset(self.pixels, self.labels, num_classes, (self.height, self.width, self.channels))
 
 
 def save_container(
@@ -265,17 +261,15 @@ def generate_toy_glyphs(
         raise InvalidArgumentError("glyph classes available: 1..10")
     gen = rng.generator()
     templates = [_glyph_canvas(k, h, w) for k in range(num_classes)]
-    images, labels = [], []
-    for cls in range(num_classes):
-        for _ in range(n_per_class):
+    pixels = np.empty((num_classes * n_per_class, h * w * c))
+    for cls, src in enumerate(templates):
+        for j in range(n_per_class):
             dy, dx = gen.integers(-1, 2, size=2)
             base = np.zeros((h, w))
-            src = templates[cls]
             ys = slice(max(dy, 0), min(h + dy, h))
             xs = slice(max(dx, 0), min(w + dx, w))
             base[ys, xs] = src[max(-dy, 0) : min(h - dy, h), max(-dx, 0) : min(w - dx, w)]
             intensity = gen.uniform(0.7, 1.0)
-            img = np.repeat((base * intensity)[:, :, None], c, axis=2)
-            images.append(ImageTensor.from_3d(img))
-            labels.append(cls)
-    return LabeledDataset(images=tuple(images), labels=tuple(labels), num_classes=num_classes)
+            pixels[cls * n_per_class + j] = np.repeat((base * intensity)[:, :, None], c, axis=2).reshape(-1)
+    labels = np.repeat(np.arange(num_classes), n_per_class)
+    return LabeledDataset(pixels, labels, num_classes, shape)

@@ -503,19 +503,20 @@ def sample(
     rng: RngSeed,
     labels: Optional[np.ndarray | int] = None,
     clamp: tuple[float, float] = (0.0, 1.0),
-) -> list[ImageTensor]:
+) -> np.ndarray:
     """Ancestral sampling: estimate the clean image, re-noise, iterate.
 
-    Each of the n chains draws from its own derived stream, so sample i is
-    reproducible independent of n. Runs exactly one denoiser evaluation per
-    step per image; the final output is the clean estimate from step 1,
-    clamped to the pixel range.
+    Returns an (n, H*W*C) matrix. Each of the n chains draws from its own
+    derived stream, one vector per step, so sample i is reproducible
+    independent of n. Runs exactly one denoiser evaluation per step per
+    image; the final output is the clean estimate from step 1, clamped to
+    the pixel range.
     """
     if n < 0:
         raise InvalidArgumentError("sample count must be non-negative")
     m = params.manifest
     if n == 0:
-        return []
+        return np.zeros((0, m.data_dim))
     if labels is None:
         lab = None
     elif np.isscalar(labels):
@@ -527,14 +528,16 @@ def sample(
 
     T = schedule.num_steps
     abars = schedule.alpha_bars
-    d = m.data_dim
-    # Per-chain noise, drawn up front: x_T first, then one vector per re-noising step.
-    noises = np.empty((n, T, d))
-    for i in range(n):
-        noises[i] = rng.derive(i).generator().standard_normal((T, d))
+    gens = [rng.derive(i).generator() for i in range(n)]
+    noise = np.empty((n, m.data_dim))
+
+    def draw() -> np.ndarray:
+        for gen, row in zip(gens, noise):
+            gen.standard_normal(out=row)
+        return noise
 
     views = m.views(params.vector)
-    x = noises[:, 0, :]
+    x = draw().copy()  # x_T; the buffer is refilled at every re-noising step
     x0_hat = x
     for t in range(T, 0, -1):
         out, _ = _forward_cached(views, m, x, np.full(n, t), lab)
@@ -542,13 +545,8 @@ def sample(
         x0_hat = (x - math.sqrt(1.0 - ab_t) * out) / math.sqrt(ab_t)
         if t > 1:
             ab_prev = abars[t - 2]
-            e_new = noises[:, T - t + 1, :]
-            x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * e_new
-    final = np.clip(x0_hat, clamp[0], clamp[1])
-    return [
-        ImageTensor(width=m.width, height=m.height, channels=m.channels, data=row)
-        for row in final
-    ]
+            x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * draw()
+    return np.clip(x0_hat, clamp[0], clamp[1])
 
 
 def save_checkpoint(path, params: DenoiserParams, schedule: NoiseSchedule) -> None:

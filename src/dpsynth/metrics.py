@@ -245,8 +245,7 @@ def warmup_diagnostics(
         labels = np.arange(n_synthetic) % sensitive.num_classes
     else:
         labels = None
-    samples = sample(params, schedule, n_synthetic, rng.derive(1), labels=labels)
-    synth_pixels = np.stack([s.data for s in samples])
+    synth_pixels = sample(params, schedule, n_synthetic, rng.derive(1), labels=labels)
     shape = sensitive.image_shape
     fd = frechet_distance(
         extractor.extract(synth_pixels, shape),

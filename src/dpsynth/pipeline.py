@@ -24,9 +24,9 @@ import numpy as np
 
 from . import data_io
 from .accounting import PrivacySpec, calibrate_sigma_f
-from .augment import AugmentationBag, apply_chain, default_bag
+from .augment import apply_chain, default_bag
 from .central import CentralImageSet, MeanQueryConfig, ModeQueryConfig, query_central_set
-from .core import InvalidArgumentError, LabeledDataset, RngSeed
+from .core import LabeledDataset, RngSeed
 from .diffusion import (
     DenoiserParams,
     NoiseSchedule,
@@ -234,12 +234,42 @@ def build_schedule(cfg: ModelConfig) -> NoiseSchedule:
     )
 
 
-def _central_query_config(cfg: CentralConfig, shape: tuple[int, int, int]):
+def central_query_config(
+    cfg: CentralConfig, shape: tuple[int, int, int]
+) -> MeanQueryConfig | ModeQueryConfig:
+    """The query config of a central stage; the mean's clip bound defaults to sqrt(H*W*C)."""
     h, w, c = shape
     if cfg.kind == "mean":
         bound = cfg.norm_bound if cfg.norm_bound is not None else math.sqrt(h * w * c)
         return MeanQueryConfig(cfg.count, cfg.sampling_rate, cfg.noise_scale, bound)
     return ModeQueryConfig(cfg.count, cfg.sampling_rate, cfg.noise_scale, cfg.bins)
+
+
+def initial_state(
+    cfg: PipelineConfig,
+) -> tuple[RngSeed, LabeledDataset, NoiseSchedule, PrivacySpec, DenoiserParams]:
+    """A run's starting point: root stream, dataset, schedule, empty ledger, initial params."""
+    rng = RngSeed(cfg.seed)
+    ds = load_dataset(cfg.dataset, rng.derive(0))
+    params = init_params(build_manifest(cfg.model, ds.image_shape, ds.num_classes), rng.derive(10))
+    ledger = PrivacySpec(cfg.privacy.epsilon, cfg.privacy.delta)
+    return rng, ds, build_schedule(cfg.model), ledger, params
+
+
+def save_central(path, central: CentralImageSet, shape: tuple[int, int, int]) -> None:
+    """Central images in a container whose provenance names the query config and charged events."""
+    data_io.save_container(
+        path,
+        "central",
+        central.pixel_matrix(),
+        shape,
+        labels=central.labels,
+        provenance={
+            "kind": central.kind,
+            "config": central.config,
+            "events": [ev.to_dict() for ev in central.events],
+        },
+    )
 
 
 def warmup_train(
@@ -292,7 +322,7 @@ def run_stage1(
     """Query central images (charged to the ledger) and pre-train on them."""
     if cfg.central.kind == "none":
         return params, None
-    qcfg = _central_query_config(cfg.central, ds.image_shape)
+    qcfg = central_query_config(cfg.central, ds.image_shape)
     central = query_central_set(
         ds,
         cfg.central.kind,
@@ -307,8 +337,7 @@ def run_stage1(
     # Noisy central images can stray outside the pixel range; clamping is
     # post-processing and keeps the augmentation range contract intact.
     warm_pixels = np.clip(central.pixel_matrix(), 0.0, 1.0)
-    warm_labels = np.asarray(central.labels, dtype=np.int64) if central.labels else None
-    params = warmup_train(params, warm_pixels, warm_labels, schedule, cfg.warmup, rng.derive(2))
+    params = warmup_train(params, warm_pixels, central.labels, schedule, cfg.warmup, rng.derive(2))
     return params, central
 
 
@@ -369,43 +398,25 @@ def run_all(cfg: PipelineConfig) -> str:
     with open(os.path.join(out, "config.json"), "w") as f:
         f.write(cfg.to_json() + "\n")
 
-    rng = RngSeed(cfg.seed)
-    ds = load_dataset(cfg.dataset, rng.derive(0))
-    manifest = build_manifest(cfg.model, ds.image_shape, ds.num_classes)
-    schedule = build_schedule(cfg.model)
-    ledger = PrivacySpec(cfg.privacy.epsilon, cfg.privacy.delta)
-    params = init_params(manifest, rng.derive(10))
-
+    rng, ds, schedule, ledger, params = initial_state(cfg)
     params, central = run_stage1(cfg, ds, params, ledger, rng, schedule)
     save_checkpoint(os.path.join(out, "warmup.ckpt"), params, schedule)
+    shape = ds.image_shape
     if central is not None:
-        data_io.save_container(
-            os.path.join(out, "central.dpc"),
-            "central",
-            central.pixel_matrix(),
-            ds.image_shape,
-            labels=np.asarray(central.labels, dtype=np.int64) if central.labels else None,
-            provenance={
-                "kind": central.kind,
-                "config": central.config,
-                "events": [ev.to_dict() for ev in central.events],
-            },
-        )
+        save_central(os.path.join(out, "central.dpc"), central, shape)
 
     extractor = FeatureExtractor(cfg.eval.feature_kind, cfg.eval.feature_dim)
     if cfg.eval.feature_kind == "pca":
         extractor.fit(ds.pixel_matrix())
+    real_feats = extractor.extract(ds.pixel_matrix(), shape)
     eval_rng = rng.derive(1000)
-    shape = ds.image_shape
+
+    def frechet(synth: np.ndarray) -> float:
+        return frechet_distance(extractor.extract(synth, shape), real_feats)
 
     def fidelity(p: DenoiserParams, n: int, sample_rng: RngSeed) -> float:
         n = max(n, extractor.dim + 1)  # Gaussian fit needs more samples than dims
-        labels = _balanced_labels(n, ds.num_classes)
-        samples = sample(p, schedule, n, sample_rng, labels=labels)
-        synth = np.stack([s.data for s in samples])
-        return frechet_distance(
-            extractor.extract(synth, shape), extractor.extract(ds.pixel_matrix(), shape)
-        )
+        return frechet(sample(p, schedule, n, sample_rng, labels=_balanced_labels(n, ds.num_classes)))
 
     loss_p_start = denoising_loss_estimate(
         params, schedule, ds, eval_rng.derive(0), draws=cfg.eval.loss_draws
@@ -440,8 +451,7 @@ def run_all(cfg: PipelineConfig) -> str:
     save_checkpoint(os.path.join(out, "final.ckpt"), params, schedule)
 
     labels = _balanced_labels(cfg.eval.n_synthetic, ds.num_classes)
-    samples = sample(params, schedule, cfg.eval.n_synthetic, eval_rng.derive(3), labels=labels)
-    synth_pixels = np.stack([s.data for s in samples]) if samples else np.zeros((0, manifest.data_dim))
+    synth_pixels = sample(params, schedule, cfg.eval.n_synthetic, eval_rng.derive(3), labels=labels)
     data_io.save_container(
         os.path.join(out, "samples.dpc"),
         "synthetic",
@@ -451,12 +461,14 @@ def run_all(cfg: PipelineConfig) -> str:
         provenance={"seed": cfg.seed, "n": cfg.eval.n_synthetic},
     )
 
-    frechet_final = fidelity(params, cfg.eval.n_synthetic, eval_rng.derive(3))
+    # These samples are the fidelity draw itself unless the Gaussian fit needs more of them.
+    if len(synth_pixels) > extractor.dim:
+        frechet_final = frechet(synth_pixels)
+    else:
+        frechet_final = fidelity(params, cfg.eval.n_synthetic, eval_rng.derive(3))
     acc = None
     if cfg.eval.probe and cfg.eval.n_synthetic >= 2 * ds.num_classes:
-        synthetic_ds = LabeledDataset.from_arrays(
-            synth_pixels, labels.tolist(), ds.num_classes, shape
-        )
+        synthetic_ds = LabeledDataset(synth_pixels, labels, ds.num_classes, shape)
         acc = train_probe_classifier(synthetic_ds, ds, iterations=cfg.eval.probe_iterations)
 
     eps_final, best_alpha = ledger.epsilon()

@@ -8,7 +8,7 @@ from dpsynth.augment import AugmentationBag, Transform, _translate, apply_chain
 
 @pytest.fixture
 def glyph_image(toy_ds):
-    return toy_ds.images[0]
+    return ImageTensor(8, 8, 1, toy_ds.pixel_matrix()[0])
 
 
 class TestBagComposition:

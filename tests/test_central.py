@@ -236,8 +236,8 @@ class TestQueryCentralSet:
         cfg = MeanQueryConfig(count=6, sampling_rate=0.3, noise_scale=5.0, norm_bound=8.0)
         a = query_central_set(toy_ds, "mean", cfg, RngSeed(9), per_label=True)
         b = query_central_set(toy_ds, "mean", cfg, RngSeed(9), per_label=True)
-        assert all(np.array_equal(x.data, y.data) for x, y in zip(a.images, b.images))
-        assert a.labels == b.labels
+        assert np.array_equal(a.pixel_matrix(), b.pixel_matrix())
+        assert np.array_equal(a.labels, b.labels)
 
     def test_events_match_repetitions_invariant(self, small_ds):
         cfg = MeanQueryConfig(count=7, sampling_rate=0.4, noise_scale=3.0, norm_bound=2.0)

@@ -195,3 +195,30 @@ class TestEndToEndCli:
         assert rc == 0
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["epsilon_spent"]) <= 8.0
+
+    def test_finetune_without_ledger_fails_closed(self, tmp_path, toy_container, capsys):
+        config = {
+            "seed": 4,
+            "dataset": {"source": "container", "path": str(toy_container)},
+            "central": {"kind": "mean", "count": 6, "sampling_rate": 0.2, "noise_scale": 5.0},
+            "model": {"hidden1": 16, "hidden2": 16, "time_dim": 4, "label_dim": 4, "diffusion_steps": 10},
+            "privacy": {"epsilon": 8.0, "delta": 1e-5},
+            "warmup": {"iterations": 4, "batch_size": 8, "learning_rate": 0.01},
+            "finetune": {"steps": 3, "sampling_rate": 0.3, "clip_bound": 0.5, "learning_rate": 0.02},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        ck, ledger = tmp_path / "warm.ckpt", tmp_path / "ledger.json"
+        assert main(["warmup", "--config", str(cfg_path), "--out", str(ck), "--ledger-out", str(ledger)]) == 0
+        capsys.readouterr()
+        final = tmp_path / "final.ckpt"
+        rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--out", str(final)])
+        assert rc == 1
+        assert "--ledger" in capsys.readouterr().err
+        assert not final.exists()
+
+        # Without central queries there is nothing to lose, so no ledger is needed.
+        cfg_path.write_text(json.dumps(dict(config, central={"kind": "none"})))
+        rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--out", str(final)])
+        assert rc == 0
+        assert final.exists()

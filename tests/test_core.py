@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,27 +106,100 @@ class TestImageTensor:
         assert np.array_equal(img.as_3d(), a)
 
 
+def _dataset_with(pixel=None, value=0.5, labels=(0, 1, 1, 0), width=4, num_classes=2):
+    """Four 2x2 images of 0.5, optionally with one pixel (row, col) set to `value`."""
+    pixels = np.full((4, width), 0.5)
+    if pixel is not None:
+        pixels[pixel] = value
+    return LabeledDataset(pixels, labels, num_classes, (2, 2, 1))
+
+
 class TestLabeledDataset:
     def test_length_mismatch(self):
-        img = image_from_flat([0.0] * 4)
         with pytest.raises(InvalidArgumentError):
-            LabeledDataset(images=(img,), labels=(0, 1), num_classes=2)
+            LabeledDataset(np.zeros((1, 4)), (0, 1), 2, (2, 2, 1))
 
     def test_label_out_of_range(self):
-        img = image_from_flat([0.0] * 4)
         with pytest.raises(InvalidArgumentError):
-            LabeledDataset(images=(img,), labels=(2,), num_classes=2)
+            LabeledDataset(np.zeros((1, 4)), (2,), 2, (2, 2, 1))
 
     def test_pixel_range_enforced(self):
-        img = image_from_flat([0.0, 0.5, 1.0, 1.5])
         with pytest.raises(InvalidArgumentError):
-            LabeledDataset(images=(img,), labels=(0,), num_classes=1)
+            LabeledDataset(np.array([[0.0, 0.5, 1.0, 1.5]]), (0,), 1, (2, 2, 1))
 
     def test_shape_uniformity(self):
-        a = image_from_flat([0.0] * 4)
-        b = image_from_flat([0.0] * 6, w=3, h=2)
         with pytest.raises(InvalidArgumentError):
-            LabeledDataset(images=(a, b), labels=(0, 0), num_classes=1)
+            LabeledDataset(np.zeros((2, 6)), (0, 0), 1, (2, 2, 1))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(pixel=(2, 1), value=np.nan), "image 2 has a non-finite value"),
+            (dict(pixel=(1, 3), value=np.inf), "image 1 has a non-finite value"),
+            (dict(pixel=(3, 0), value=-np.inf), "image 3 has a non-finite value"),
+            (dict(pixel=(2, 0), value=1.0 + 1e-12), "image 2 has values outside"),
+            (dict(pixel=(1, 2), value=-1e-12), "image 1 has values outside"),
+            (dict(labels=(0, 1, 2, 1)), "label 2 at index 2 outside"),
+            (dict(labels=(0, -1, 0, 0)), "label -1 at index 1 outside"),
+            (dict(labels=(0, 1, 1)), "index 3 has no pair"),
+            (dict(labels=(0, 1, 1, 0, 1)), "index 4 has no pair"),
+            (dict(width=5), "first bad index 0"),
+        ],
+    )
+    def test_rejection_names_first_bad_index(self, kwargs, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            _dataset_with(**kwargs)
+
+    def test_first_of_several_bad_rows_is_named(self):
+        pixels = np.full((6, 4), 0.5)
+        pixels[4, 0] = np.nan
+        pixels[2, 3] = np.nan
+        with pytest.raises(InvalidArgumentError, match="image 2 has"):
+            LabeledDataset(pixels, np.zeros(6, dtype=int), 1, (2, 2, 1))
+
+    def test_arrays_are_read_only_copies(self):
+        pixels = np.full((2, 4), 0.25)
+        labels = np.array([0, 1])
+        ds = LabeledDataset(pixels, labels, 2, (2, 2, 1))
+        pixels[0, 0] = 0.75
+        labels[0] = 1
+        assert ds.pixel_matrix()[0, 0] == 0.25 and ds.label_array()[0] == 0
+        assert ds.pixel_matrix().dtype == np.float64 and ds.label_array().dtype == np.int64
+        with pytest.raises(ValueError):
+            ds.pixel_matrix()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ds.label_array()[0] = 1
+
+    def test_nan_rejected_under_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import numpy as np\n"
+            "from dpsynth.core import InvalidArgumentError, LabeledDataset\n"
+            "pixels = np.zeros((3, 4))\n"
+            "pixels[1, 2] = np.nan\n"
+            "try:\n"
+            "    LabeledDataset(pixels, (0, 0, 0), 1, (2, 2, 1))\n"
+            "except InvalidArgumentError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "image 1 has a non-finite value"
+
+    def test_subset_and_partition_keep_row_order(self, toy_ds):
+        idx = [7, 3, 3, 250]
+        sub = toy_ds.subset(idx)
+        assert np.array_equal(sub.pixel_matrix(), toy_ds.pixel_matrix()[idx])
+        assert np.array_equal(sub.label_array(), toy_ds.label_array()[idx])
+        for label, part in toy_ds.partition_by_label().items():
+            rows = np.flatnonzero(toy_ds.label_array() == label)
+            assert np.array_equal(part.pixel_matrix(), toy_ds.pixel_matrix()[rows])
 
     def test_partition_by_label_is_disjoint_cover(self, toy_ds):
         parts = toy_ds.partition_by_label()

@@ -23,9 +23,9 @@ class TestIdx:
         ds = read_idx(images, labels)
         assert len(ds) == 2
         assert ds.image_shape == (2, 2, 1)
-        assert np.allclose(ds.images[0].data, [0.0, 128 / 255, 1.0, 0.0])
-        assert np.allclose(ds.images[1].data, [1.0, 0.0, 128 / 255, 128 / 255])
-        assert ds.labels == (1, 0)
+        assert np.allclose(ds.pixel_matrix()[0], [0.0, 128 / 255, 1.0, 0.0])
+        assert np.allclose(ds.pixel_matrix()[1], [1.0, 0.0, 128 / 255, 128 / 255])
+        assert ds.label_array().tolist() == [1, 0]
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         images, labels = _write_idx_fixture(tmp_path)
@@ -130,8 +130,8 @@ class TestToyGlyphs:
     def test_fixed_seed_reproducible(self):
         a = generate_toy_glyphs(5, 10, (8, 8, 1), RngSeed(3))
         b = generate_toy_glyphs(5, 10, (8, 8, 1), RngSeed(3))
-        assert all(np.array_equal(x.data, y.data) for x, y in zip(a.images, b.images))
-        assert a.labels == b.labels
+        assert np.array_equal(a.pixel_matrix(), b.pixel_matrix())
+        assert np.array_equal(a.label_array(), b.label_array())
 
     def test_minimum_canvas_enforced(self):
         with pytest.raises(Exception, match="at least 8x8"):

@@ -318,18 +318,18 @@ class TestSampling:
                 if t > 1:
                     x = np.sqrt(abars[t - 2]) * x0_hat + np.sqrt(1 - abars[t - 2]) * noises[T - t + 1]
             expected = np.clip(x0_hat, 0.0, 1.0)
-            assert np.allclose(out[i].data, expected, rtol=0, atol=0)
+            assert np.allclose(out[i], expected, rtol=0, atol=0)
 
     def test_empty_request(self, rng):
         params = zero_params(TINY)
-        assert sample(params, NoiseSchedule.linear(8), 0, rng) == []
+        assert sample(params, NoiseSchedule.linear(8), 0, rng).shape == (0, 16)
 
     def test_determinism(self, rng):
         params = init_params(TINY, rng)
         sched = NoiseSchedule.linear(8)
         a = sample(params, sched, 3, RngSeed(5), labels=np.array([0, 1, 2]))
         b = sample(params, sched, 3, RngSeed(5), labels=np.array([0, 1, 2]))
-        assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
+        assert np.array_equal(a, b)
 
     def test_exactly_t_denoiser_evaluations(self, rng, monkeypatch):
         params = init_params(TINY, rng)
@@ -349,7 +349,7 @@ class TestSampling:
         params = init_params(TINY, rng)
         out = sample(params, NoiseSchedule.linear(8), 5, rng)
         for img in out:
-            assert img.data.min() >= 0.0 and img.data.max() <= 1.0
+            assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 class TestCheckpoint:

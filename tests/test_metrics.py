@@ -132,7 +132,7 @@ class TestProbeClassifier:
         gen = np.random.default_rng(5)
         labels = np.array(toy_ds.labels)
         gen.shuffle(labels)
-        shuffled = LabeledDataset(toy_ds.images, tuple(int(l) for l in labels), 10)
+        shuffled = LabeledDataset(toy_ds.pixel_matrix(), labels, 10, toy_ds.image_shape)
         holdout = generate_toy_glyphs(50, 10, (8, 8, 1), RngSeed(78))
         acc = train_probe_classifier(shuffled, holdout)
         # 3-sigma binomial band around chance level 1/10
@@ -140,7 +140,7 @@ class TestProbeClassifier:
         assert abs(acc - 0.1) <= 3 * np.sqrt(0.1 * 0.9 / n)
 
     def test_empty_synthetic_rejected(self, toy_ds):
-        empty = LabeledDataset(images=(), labels=(), num_classes=10)
+        empty = LabeledDataset(np.zeros((0, 64)), (), 10, (8, 8, 1))
         with pytest.raises(InvalidArgumentError, match="empty"):
             train_probe_classifier(empty, toy_ds)
 
