@@ -15,12 +15,12 @@ from .accounting import (
     rdp_to_dp,
     sgm_rdp,
 )
-from .augment import AugmentationBag, apply_random_chain, default_bag
+from .augment import AugmentationBag, apply_chain, default_bag
 from .central import (
     CentralImageSet,
     MeanQueryConfig,
     ModeQueryConfig,
-    clip_image,
+    clip_rows,
     mode_from_noisy_histogram,
     pixel_histogram,
     poisson_subsample,
@@ -30,13 +30,11 @@ from .central import (
 )
 from .core import (
     BudgetExhaustedError,
-    ImageTensor,
     InvalidArgumentError,
     LabeledDataset,
     NumericError,
     RngSeed,
     gaussian_noise,
-    l2_norm,
 )
 from .data_io import FormatError, generate_toy_glyphs, load_container, read_idx, save_container, write_idx
 from .diffusion import (
@@ -53,8 +51,8 @@ from .diffusion import (
     sample,
     save_checkpoint,
 )
-from .dpsgd import DpSgdConfig, TrainHooks, clip_gradient, dp_step, train
-from .metrics import FeatureExtractor, MetricReport, frechet_distance, train_probe_classifier, warmup_diagnostics
+from .dpsgd import DpSgdConfig, TrainHooks, dp_step, train
+from .metrics import FeatureExtractor, frechet_distance, train_probe_classifier
 from .pipeline import PipelineConfig, run_all, run_stage1, run_stage2
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ high-precision oracle in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -161,34 +161,19 @@ def _sgm_rdp_integer(q: float, sigma: float, alpha: int) -> float:
     return _log1p_exp(log_am1) / (alpha - 1.0)
 
 
-def _sgm_rdp_quadrature(q: float, sigma: float, alpha: float) -> float:
-    log_a = _fractional_log_moments(q, sigma, np.array([alpha], dtype=np.float64))[0]
-    return max(0.0, log_a / (alpha - 1.0))
-
-
-@lru_cache(maxsize=100_000)
 def sgm_rdp(q: float, sigma: float, alpha: float) -> float:
-    """RDP cost gamma (nats) of one sub-sampled Gaussian release.
-
-    q = 1 reduces to the analytic Gaussian divergence alpha / (2 sigma^2).
-    Integer orders take the closed-form binomial path, fractional orders the
-    adaptive quadrature path.
-    """
-    q, sigma, alpha = float(q), float(sigma), float(alpha)
-    _validate_sgm_args(q, sigma, alpha)
-    if q == 1.0:
-        return alpha / (2.0 * sigma * sigma)
-    if alpha.is_integer():
-        return _sgm_rdp_integer(q, sigma, int(alpha))
-    return _sgm_rdp_quadrature(q, sigma, alpha)
+    """RDP cost gamma (nats) of one sub-sampled Gaussian release at one order."""
+    return float(sgm_rdp_curve(float(q), float(sigma), (float(alpha),))[0])
 
 
 @lru_cache(maxsize=4096)
 def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> tuple[float, ...]:
     """gamma(alpha) over a full order grid; the workhorse behind compose().
 
-    Fractional orders are evaluated in one vectorized quadrature pass, which
-    keeps repeated calibration calls cheap.
+    q = 1 reduces to the analytic Gaussian divergence alpha / (2 sigma^2).
+    Integer orders take the closed-form binomial path; fractional orders are
+    evaluated in one vectorized adaptive quadrature pass, which keeps
+    repeated calibration calls cheap.
     """
     q, sigma = float(q), float(sigma)
     for a in orders:
@@ -473,15 +458,3 @@ def calibrate_sigma_f(
         )
     return hi
 
-
-def resolve_privacy_spec(spec: PrivacySpec, steps: int, sampling_rate: float) -> PrivacySpec:
-    """Calibrated copy of `spec` with sigma_f filled in for the fine-tune stage."""
-    sigma = calibrate_sigma_f(
-        spec.events,
-        steps,
-        sampling_rate,
-        spec.target_epsilon,
-        spec.delta,
-        orders=spec.orders,
-    )
-    return replace(spec, sigma_f=sigma, events=list(spec.events))

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .core import ImageTensor, InvalidArgumentError, RngSeed
+from .core import InvalidArgumentError
 
 TransformFn = Callable[[np.ndarray, float, np.random.Generator], np.ndarray]
 
@@ -200,7 +200,3 @@ def apply_chain(img3d: np.ndarray, bag: AugmentationBag, gen: np.random.Generato
         out = t.fn(out, magnitude, gen)
     return np.clip(out, 0.0, 1.0)
 
-
-def apply_random_chain(x: ImageTensor, bag: AugmentationBag, rng: RngSeed) -> ImageTensor:
-    out = apply_chain(x.as_3d(), bag, rng.generator())
-    return ImageTensor.from_3d(out)

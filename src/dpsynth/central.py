@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .accounting import MechanismEvent
-from .core import ImageTensor, InvalidArgumentError, LabeledDataset, RngSeed, clip_factors, gaussian_noise
+from .core import InvalidArgumentError, LabeledDataset, RngSeed, clip_factors, gaussian_noise
 
 
 def _check_query(cfg: "MeanQueryConfig | ModeQueryConfig") -> None:
@@ -63,7 +63,11 @@ class ModeQueryConfig:
 
 @dataclass(frozen=True, eq=False)
 class CentralImageSet:
-    """Noisy central images as a (count, H*W*C) matrix, optional labels, and charged events."""
+    """Noisy central images as a (count, H*W*C) matrix, optional labels, and charged events.
+
+    Noisy pixels may leave [0, 1] but must be finite: a noise draw that
+    overflowed is refused rather than released.
+    """
 
     pixels: np.ndarray
     labels: Optional[np.ndarray]
@@ -76,12 +80,11 @@ class CentralImageSet:
             raise InvalidArgumentError("labels must match images one to one")
         if self.kind not in ("mean", "mode"):
             raise InvalidArgumentError(f"unknown central image kind {self.kind!r}")
+        if not np.isfinite(self.pixels).all():
+            raise InvalidArgumentError("central images must be finite")
 
     def __len__(self) -> int:
         return len(self.pixels)
-
-    def pixel_matrix(self) -> np.ndarray:
-        return self.pixels
 
 
 def poisson_subsample(n: int, rate: float, rng: RngSeed) -> np.ndarray:
@@ -94,16 +97,12 @@ def poisson_subsample(n: int, rate: float, rng: RngSeed) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def clip_image(x: ImageTensor, norm_bound: float) -> ImageTensor:
-    """Scale into the L2 ball of radius norm_bound; zero images pass through."""
-    (factor,) = clip_factors(np.array([np.linalg.norm(x.data)]), norm_bound)
-    if factor == 1.0:
-        return x
-    return ImageTensor(x.width, x.height, x.channels, x.data * factor)
-
-
 def clip_rows(pixels: np.ndarray, norm_bound: float) -> np.ndarray:
-    """Row-wise L2 clip of an (N, D) matrix; rows within the ball unchanged."""
+    """Row-wise L2 clip of an (N, D) matrix; rows within the ball (and zero rows) unchanged.
+
+    The package's one clip: central images and gradients alike go through it
+    or through the `core.clip_factors` rule it applies.
+    """
     return pixels * clip_factors(np.linalg.norm(pixels, axis=1), norm_bound)[:, None]
 
 
@@ -123,22 +122,21 @@ def mean_aggregate(pixels: np.ndarray, indices: np.ndarray, norm_bound: float, e
 
 def query_mean_image(
     ds: LabeledDataset, cfg: MeanQueryConfig, rng: RngSeed
-) -> tuple[ImageTensor, Optional[MechanismEvent]]:
-    """One noisy mean image plus the mechanism event to charge.
+) -> tuple[np.ndarray, Optional[MechanismEvent]]:
+    """One noisy mean image, a flat (H*W*C,) vector, plus the mechanism event to charge.
 
     A zero noise scale is allowed for debugging but carries no finite privacy
     guarantee, so no event is emitted for it.
     """
-    h, w, c = ds.image_shape
     expected_batch = cfg.sampling_rate * len(ds)
     idx = poisson_subsample(len(ds), cfg.sampling_rate, rng.derive(0))
-    mean = mean_aggregate(ds.pixel_matrix(), idx, cfg.norm_bound, expected_batch)
+    mean = mean_aggregate(ds.pixels, idx, cfg.norm_bound, expected_batch)
     sensitivity = cfg.norm_bound / expected_batch
     noisy = mean + gaussian_noise(mean.shape, cfg.noise_scale * sensitivity, rng.derive(1))
     event = None
     if cfg.noise_scale > 0.0:
         event = MechanismEvent("mean_query", q=cfg.sampling_rate, sigma=cfg.noise_scale)
-    return ImageTensor(width=w, height=h, channels=c, data=noisy), event
+    return noisy, event
 
 
 def pixel_histogram(values: np.ndarray, bins: int, p_max: float) -> np.ndarray:
@@ -189,26 +187,24 @@ def mode_from_noisy_histogram(noisy_counts: np.ndarray, bins: int, p_max: float)
 
 def query_mode_image(
     ds: LabeledDataset, cfg: ModeQueryConfig, rng: RngSeed
-) -> tuple[ImageTensor, Optional[MechanismEvent]]:
-    """One noisy mode image plus the mechanism event to charge.
+) -> tuple[np.ndarray, Optional[MechanismEvent]]:
+    """One noisy mode image, a flat (H*W*C,) vector, plus the mechanism event to charge.
 
     Gaussian noise with variance (W H C) sigma^2 is added to every histogram
     cell (the all-pixel histogram has L2 sensitivity sqrt(W H C)); each
     pixel's value is the midpoint of its noisiest-count bin. A zero noise
     scale is allowed for debugging and emits no event.
     """
-    h, w, c = ds.image_shape
-    d = h * w * c
     idx = poisson_subsample(len(ds), cfg.sampling_rate, rng.derive(0))
-    hist = stacked_pixel_histogram(ds.pixel_matrix()[idx], cfg.bins, cfg.p_max)
-    noise_std = cfg.noise_scale * np.sqrt(d)
+    hist = stacked_pixel_histogram(ds.pixels[idx], cfg.bins, cfg.p_max)
+    noise_std = cfg.noise_scale * np.sqrt(ds.pixels.shape[1])
     noisy = hist + gaussian_noise(hist.shape, noise_std, rng.derive(1))
     k_star = np.argmax(noisy, axis=1) + 1
     modes = (2.0 * k_star - 1.0) / 2.0 * cfg.p_max / cfg.bins
     event = None
     if cfg.noise_scale > 0.0:
         event = MechanismEvent("mode_query", q=cfg.sampling_rate, sigma=cfg.noise_scale)
-    return ImageTensor(width=w, height=h, channels=c, data=modes), event
+    return modes, event
 
 
 def _split_count(total: int, groups: int) -> list[int]:
@@ -258,8 +254,7 @@ def query_central_set(
     row = 0
     for sub, n, sub_rng, partition in jobs:
         for i in range(n):
-            img, ev = query(sub, cfg, sub_rng.derive(i))
-            pixels[row] = img.data
+            pixels[row], ev = query(sub, cfg, sub_rng.derive(i))
             row += 1
             if ev is not None:
                 events.append(dataclasses.replace(ev, partition=partition))

@@ -83,9 +83,9 @@ def cmd_ingest(args) -> int:
     data_io.save_container(
         args.out,
         "sensitive",
-        ds.pixel_matrix(),
+        ds.pixels,
         ds.image_shape,
-        labels=ds.label_array(),
+        labels=ds.labels,
         provenance={"source": "idx", "images": str(args.images), "labels": str(args.labels)},
     )
     _print_kv("count", len(ds))
@@ -102,9 +102,9 @@ def cmd_make_toy(args) -> int:
     data_io.save_container(
         args.out,
         "sensitive",
-        ds.pixel_matrix(),
+        ds.pixels,
         ds.image_shape,
-        labels=ds.label_array(),
+        labels=ds.labels,
         provenance={"source": "toy", "per_class": args.per_class, "seed": args.seed},
     )
     _print_kv("count", len(ds))
@@ -113,8 +113,6 @@ def cmd_make_toy(args) -> int:
 
 
 def cmd_query_central(args) -> int:
-    from .central import query_central_set
-
     ds = data_io.load_container(args.data).to_dataset()
     ccfg = pipeline.CentralConfig(
         kind=args.kind,
@@ -123,15 +121,10 @@ def cmd_query_central(args) -> int:
         noise_scale=args.noise_scale,
         norm_bound=args.norm_bound,
         bins=args.bins,
-    )
-    central = query_central_set(
-        ds,
-        args.kind,
-        pipeline.central_query_config(ccfg, ds.image_shape),
-        RngSeed(args.seed).derive(1),
         per_label=args.per_label,
         parallel_accounting=args.parallel_accounting,
     )
+    central = pipeline.query_central(ccfg, ds, RngSeed(args.seed).derive(1))
     pipeline.save_central(args.out, central, ds.image_shape)
     if args.events_out:
         with open(args.events_out, "w") as f:
@@ -238,20 +231,22 @@ def cmd_evaluate(args) -> int:
     _print_kv("frechet", f"{fd:.9g}")
     _print_kv("n_real", real.count)
     _print_kv("n_synth", synth.count)
-    if synth.labels is not None and real.labels is not None:
-        num_classes = int(max(synth.labels.max(), real.labels.max())) + 1
-        acc = train_probe_classifier(
-            LabeledDataset(np.clip(synth.pixels, 0, 1), synth.labels, num_classes, shape),
-            LabeledDataset(np.clip(real.pixels, 0, 1), real.labels, num_classes, shape),
-        )
+    probe = synth.labels is not None and real.labels is not None
+    if args.checkpoint and real.labels is None:
+        raise InvalidArgumentError("loss estimation needs a labeled real container")
+    if probe or args.checkpoint:
+        # One validated copy of the real data serves the probe and the loss; it
+        # is never clipped, so out-of-range sensitive pixels fail closed.
+        num_classes = int(max(synth.labels.max(), real.labels.max())) + 1 if probe else None
+        real_ds = real.to_dataset(num_classes)
+    if probe:
+        synth_ds = LabeledDataset(np.clip(synth.pixels, 0, 1), synth.labels, real_ds.num_classes, shape)
+        acc = train_probe_classifier(synth_ds, real_ds)
         _print_kv("acc", f"{acc:.6f}")
     if args.checkpoint:
         from .metrics import denoising_loss_estimate
 
         params, schedule = load_checkpoint(args.checkpoint)
-        real_ds = real.to_dataset() if real.labels is not None else None
-        if real_ds is None:
-            raise InvalidArgumentError("loss estimation needs a labeled real container")
         loss_p = denoising_loss_estimate(
             params, schedule, real_ds, RngSeed(args.seed), draws=args.loss_draws
         )

@@ -1,8 +1,9 @@
-"""Shared value types: images, labeled datasets, and a splittable RNG.
+"""Shared value types: labeled datasets, a splittable RNG, and the L2 clip rule.
 
-Everything downstream works on 64-bit floats. Images are stored as flat
-row-major, channel-last vectors so that parameter vectors and pixel vectors
-share one substrate. All types are immutable values; operations are pure.
+Everything downstream works on 64-bit floats. An image is a flat row-major,
+channel-last vector, and a set of images is an (N, H*W*C) matrix, so that
+parameter vectors and pixel vectors share one substrate. All types are
+immutable values; operations are pure.
 """
 
 from __future__ import annotations
@@ -67,56 +68,11 @@ class RngSeed:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def frozen_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of `a`; the caller's array stays writable."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class ImageTensor:
-    """Dense real-valued image, flat row-major channel-last storage.
-
-    `data` has length ``width * height * channels`` and is indexed
-    (row, column, channel). Dataset images live in [0, 1]; noisy query
-    outputs may carry arbitrary real values.
-    """
-
-    width: int
-    height: int
-    channels: int
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if min(self.width, self.height, self.channels) < 1:
-            raise InvalidArgumentError("image dimensions must be positive")
-        object.__setattr__(self, "data", _frozen(self.data).reshape(-1))
-        if self.data.size != self.width * self.height * self.channels:
-            raise InvalidArgumentError(
-                f"data length {self.data.size} != {self.width}x{self.height}x{self.channels}"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise InvalidArgumentError("image data must be finite")
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.height, self.width, self.channels)
-
-    def as_3d(self) -> np.ndarray:
-        return self.data.reshape(self.height, self.width, self.channels)
-
-    @classmethod
-    def from_3d(cls, array: np.ndarray) -> "ImageTensor":
-        a = np.asarray(array, dtype=np.float64)
-        if a.ndim != 3:
-            raise InvalidArgumentError("expected a (height, width, channels) array")
-        h, w, c = a.shape
-        return cls(width=w, height=h, channels=c, data=a.reshape(-1))
-
-
-def l2_norm(x: ImageTensor) -> float:
-    """Euclidean norm of the flattened pixel vector."""
-    return float(np.linalg.norm(x.data))
 
 
 def gaussian_noise(shape: Sequence[int] | int, std: float, rng: RngSeed) -> np.ndarray:
@@ -170,7 +126,7 @@ class LabeledDataset:
         h, w, c = (int(v) for v in self.image_shape)
         if min(h, w, c) < 1:
             raise InvalidArgumentError("image dimensions must be positive")
-        pixels = _frozen(np.array(self.pixels, dtype=np.float64))
+        pixels = frozen_copy(self.pixels)
         labels = np.asarray(self.labels)
         if labels.size and labels.dtype.kind not in "iu":
             raise InvalidArgumentError(f"labels must be integers, got dtype {labels.dtype}")
@@ -204,13 +160,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.pixels.shape[0]
-
-    def pixel_matrix(self) -> np.ndarray:
-        """(N, width*height*channels) read-only matrix of all images."""
-        return self.pixels
-
-    def label_array(self) -> np.ndarray:
-        return self.labels
 
     def subset(self, indices: Iterable[int]) -> "LabeledDataset":
         idx = np.fromiter(indices, dtype=np.int64)

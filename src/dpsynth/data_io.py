@@ -92,7 +92,7 @@ def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
         raise InvalidArgumentError("IDX image stacks are single-channel")
     if ds.num_classes > 256:
         raise InvalidArgumentError("IDX labels are single bytes; need num_classes <= 256")
-    pixels = np.rint(ds.pixel_matrix() * 255.0)
+    pixels = np.rint(ds.pixels * 255.0)
     if pixels.min() < 0 or pixels.max() > 255:
         raise InvalidArgumentError("pixel values outside [0, 1] cannot round-trip through IDX")
     with open(images_path, "wb") as f:
@@ -100,7 +100,7 @@ def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
         f.write(pixels.astype(np.uint8).tobytes())
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(ds)))
-        f.write(ds.label_array().astype(np.uint8).tobytes())
+        f.write(ds.labels.astype(np.uint8).tobytes())
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .core import ImageTensor, InvalidArgumentError, RngSeed
+from .core import InvalidArgumentError, RngSeed, frozen_copy
 
 CHECKPOINT_MAGIC = b"DPSYNCK1"
 
@@ -179,20 +179,19 @@ class ParamManifest:
 
 @dataclass(frozen=True)
 class DenoiserParams:
-    """Flat trainable vector plus its manifest."""
+    """Flat trainable vector (a private read-only copy) plus its manifest."""
 
     manifest: ParamManifest
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.vector, dtype=np.float64)
+        v = frozen_copy(self.vector)
         if v.shape != (self.manifest.num_params,):
             raise InvalidArgumentError(
                 f"vector length {v.size} != manifest total {self.manifest.num_params}"
             )
         if not np.all(np.isfinite(v)):
             raise InvalidArgumentError("parameters must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 
     def replace_vector(self, vector: np.ndarray) -> "DenoiserParams":
@@ -242,13 +241,13 @@ def corrupt(x0: np.ndarray, alpha_bar: float, noise: np.ndarray) -> np.ndarray:
 
 
 def forward_noise(
-    x0: ImageTensor, t: int, schedule: NoiseSchedule, rng: RngSeed
-) -> tuple[ImageTensor, np.ndarray]:
-    """Single-step corruption of x0 to level t; returns (x_t, injected noise)."""
+    x0: np.ndarray, t: int, schedule: NoiseSchedule, rng: RngSeed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-step corruption of a flat image x0 to level t; returns (x_t, injected noise)."""
     abar = schedule.alpha_bar(t)
-    e = rng.generator().standard_normal(x0.data.shape)
-    xt = corrupt(x0.data, abar, e)
-    return ImageTensor(x0.width, x0.height, x0.channels, xt), e
+    x0 = np.asarray(x0, dtype=np.float64)
+    e = rng.generator().standard_normal(x0.shape)
+    return corrupt(x0, abar, e), e
 
 
 def _assemble_input(

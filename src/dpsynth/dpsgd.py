@@ -54,14 +54,6 @@ class DpSgdConfig:
         return self.sampling_rate * dataset_size
 
 
-def clip_gradient(grad: np.ndarray, clip_bound: float) -> np.ndarray:
-    """min(1, clip_bound / ||g||) * g; gradients inside the ball unchanged."""
-    (factor,) = clip_factors(np.array([np.linalg.norm(grad)]), clip_bound)
-    if factor == 1.0:
-        return np.asarray(grad, dtype=np.float64)
-    return grad * factor
-
-
 @dataclass(frozen=True)
 class StepStats:
     step: int
@@ -84,8 +76,8 @@ def dp_step(
     if len(idx):
         grad_sum, norms, loss = engine(
             params,
-            ds.pixel_matrix()[idx],
-            ds.label_array()[idx],
+            ds.pixels[idx],
+            ds.labels[idx],
             rng.derive(2),
             lambda norms: clip_factors(norms, cfg.clip_bound),
             example_ids=idx,

@@ -5,9 +5,8 @@ the feature map is pluggable (block-average downsampling or PCA fit on held
 out real data) rather than a fixed pretrained network, so absolute values are
 not comparable to published benchmark numbers and only orderings are used.
 Utility is the test accuracy of a multinomial logistic probe trained on
-synthetic images by deterministic full-batch gradient descent. Warm-up
-diagnostics report the denoising loss on the sensitive set plus the fidelity
-proxy of fresh samples.
+synthetic images by deterministic full-batch gradient descent. The
+denoising loss is a seeded Monte-Carlo estimate of the training objective.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .core import InvalidArgumentError, LabeledDataset, NumericError, RngSeed
-from .diffusion import DenoiserParams, NoiseSchedule, denoiser_forward, sample
+from .diffusion import DenoiserParams, NoiseSchedule, denoiser_forward
+from .diffusion import sample  # noqa: F401  bench/test_bench.py checks that the tracer patches this binding
 
 EIGENVALUE_TRUNCATION = 1e-10
 REGULARIZATION = 1e-6
@@ -154,11 +154,11 @@ def train_probe_classifier(
         raise InvalidArgumentError("synthetic and test datasets disagree on num_classes")
     if synthetic.image_shape != real_test.image_shape:
         raise InvalidArgumentError("synthetic and test datasets disagree on image shape")
-    y = synthetic.label_array()
+    y = synthetic.labels
     if np.unique(y).size < 2:
         raise InvalidArgumentError("synthetic set is single-class; probe training is degenerate")
 
-    x = np.hstack([synthetic.pixel_matrix(), np.ones((len(synthetic), 1))])
+    x = np.hstack([synthetic.pixels, np.ones((len(synthetic), 1))])
     n, d = x.shape
     L = synthetic.num_classes
     onehot = np.zeros((n, L))
@@ -171,25 +171,9 @@ def train_probe_classifier(
         p /= p.sum(axis=1, keepdims=True)
         w -= learning_rate * x.T @ (p - onehot) / n
 
-    xt = np.hstack([real_test.pixel_matrix(), np.ones((len(real_test), 1))])
+    xt = np.hstack([real_test.pixels, np.ones((len(real_test), 1))])
     pred = np.argmax(xt @ w, axis=1)
-    return float(np.mean(pred == real_test.label_array()))
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    frechet: float
-    loss_p: float
-    acc: Optional[float]
-    n_real: int
-    n_synth: int
-
-    def __post_init__(self) -> None:
-        for name, v in (("frechet", self.frechet), ("loss_p", self.loss_p)):
-            if not math.isfinite(v):
-                raise InvalidArgumentError(f"{name} must be finite, got {v}")
-        if self.acc is not None and not (0.0 <= self.acc <= 1.0):
-            raise InvalidArgumentError(f"accuracy must be in [0, 1], got {self.acc}")
+    return float(np.mean(pred == real_test.labels))
 
 
 def denoising_loss_estimate(
@@ -211,8 +195,8 @@ def denoising_loss_estimate(
     if len(ds) == 0:
         raise InvalidArgumentError("cannot estimate the loss of an empty dataset")
     gen = rng.generator()
-    pixels = ds.pixel_matrix()
-    labels = ds.label_array()
+    pixels = ds.pixels
+    labels = ds.labels
     abars = schedule.alpha_bars
     total = 0.0
     for start in range(0, draws, chunk):
@@ -226,31 +210,3 @@ def denoising_loss_estimate(
         total += float(np.sum((out - es) ** 2))
     return total / draws
 
-
-def warmup_diagnostics(
-    params: DenoiserParams,
-    schedule: NoiseSchedule,
-    sensitive: LabeledDataset,
-    extractor: FeatureExtractor,
-    rng: RngSeed,
-    n_synthetic: int = 256,
-    loss_draws: int = 10_000,
-    conditional: bool = True,
-) -> MetricReport:
-    """Loss on the sensitive set plus the fidelity proxy of fresh samples."""
-    loss_p = denoising_loss_estimate(
-        params, schedule, sensitive, rng.derive(0), draws=loss_draws, conditional=conditional
-    )
-    if conditional:
-        labels = np.arange(n_synthetic) % sensitive.num_classes
-    else:
-        labels = None
-    synth_pixels = sample(params, schedule, n_synthetic, rng.derive(1), labels=labels)
-    shape = sensitive.image_shape
-    fd = frechet_distance(
-        extractor.extract(synth_pixels, shape),
-        extractor.extract(sensitive.pixel_matrix(), shape),
-    )
-    return MetricReport(
-        frechet=fd, loss_p=loss_p, acc=None, n_real=len(sensitive), n_synth=n_synthetic
-    )

@@ -234,15 +234,16 @@ def build_schedule(cfg: ModelConfig) -> NoiseSchedule:
     )
 
 
-def central_query_config(
-    cfg: CentralConfig, shape: tuple[int, int, int]
-) -> MeanQueryConfig | ModeQueryConfig:
-    """The query config of a central stage; the mean's clip bound defaults to sqrt(H*W*C)."""
-    h, w, c = shape
+def query_central(cfg: CentralConfig, ds: LabeledDataset, rng: RngSeed) -> CentralImageSet:
+    """The central images of a stage-one config; the mean's clip bound defaults to sqrt(H*W*C)."""
     if cfg.kind == "mean":
-        bound = cfg.norm_bound if cfg.norm_bound is not None else math.sqrt(h * w * c)
-        return MeanQueryConfig(cfg.count, cfg.sampling_rate, cfg.noise_scale, bound)
-    return ModeQueryConfig(cfg.count, cfg.sampling_rate, cfg.noise_scale, cfg.bins)
+        bound = cfg.norm_bound if cfg.norm_bound is not None else math.sqrt(math.prod(ds.image_shape))
+        qcfg = MeanQueryConfig(cfg.count, cfg.sampling_rate, cfg.noise_scale, bound)
+    else:
+        qcfg = ModeQueryConfig(cfg.count, cfg.sampling_rate, cfg.noise_scale, cfg.bins)
+    return query_central_set(
+        ds, cfg.kind, qcfg, rng, per_label=cfg.per_label, parallel_accounting=cfg.parallel_accounting
+    )
 
 
 def initial_state(
@@ -261,7 +262,7 @@ def save_central(path, central: CentralImageSet, shape: tuple[int, int, int]) ->
     data_io.save_container(
         path,
         "central",
-        central.pixel_matrix(),
+        central.pixels,
         shape,
         labels=central.labels,
         provenance={
@@ -322,21 +323,13 @@ def run_stage1(
     """Query central images (charged to the ledger) and pre-train on them."""
     if cfg.central.kind == "none":
         return params, None
-    qcfg = central_query_config(cfg.central, ds.image_shape)
-    central = query_central_set(
-        ds,
-        cfg.central.kind,
-        qcfg,
-        rng.derive(1),
-        per_label=cfg.central.per_label,
-        parallel_accounting=cfg.central.parallel_accounting,
-    )
+    central = query_central(cfg.central, ds, rng.derive(1))
     ledger.record(*central.events)
     ledger.assert_within_budget()
 
     # Noisy central images can stray outside the pixel range; clamping is
     # post-processing and keeps the augmentation range contract intact.
-    warm_pixels = np.clip(central.pixel_matrix(), 0.0, 1.0)
+    warm_pixels = np.clip(central.pixels, 0.0, 1.0)
     params = warmup_train(params, warm_pixels, central.labels, schedule, cfg.warmup, rng.derive(2))
     return params, central
 
@@ -407,8 +400,8 @@ def run_all(cfg: PipelineConfig) -> str:
 
     extractor = FeatureExtractor(cfg.eval.feature_kind, cfg.eval.feature_dim)
     if cfg.eval.feature_kind == "pca":
-        extractor.fit(ds.pixel_matrix())
-    real_feats = extractor.extract(ds.pixel_matrix(), shape)
+        extractor.fit(ds.pixels)
+    real_feats = extractor.extract(ds.pixels, shape)
     eval_rng = rng.derive(1000)
 
     def frechet(synth: np.ndarray) -> float:

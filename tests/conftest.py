@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dpsynth import ImageTensor, LabeledDataset, RngSeed, generate_toy_glyphs
+from dpsynth import LabeledDataset, RngSeed, generate_toy_glyphs
 
 
 @pytest.fixture
@@ -26,7 +26,3 @@ def small_ds():
     pixels = gen.random((30, 6 * 6))
     labels = gen.integers(0, 3, size=30).tolist()
     return LabeledDataset.from_arrays(pixels, labels, 3, (6, 6, 1))
-
-
-def image_from_flat(values, w=2, h=2, c=1):
-    return ImageTensor(width=w, height=h, channels=c, data=np.asarray(values, dtype=float))

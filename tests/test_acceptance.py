@@ -320,10 +320,8 @@ def test_a7_dpsgd_noise_statistics():
 
 def test_a8_forward_process_moments():
     """Criterion 8: corruption moments at five timesteps within 3-sigma CLT bands."""
-    from dpsynth import ImageTensor
-
     schedule = NoiseSchedule.linear(50)
-    x0 = ImageTensor(width=2, height=1, channels=1, data=np.array([0.15, 0.85]))
+    x0 = np.array([0.15, 0.85])
     n = 100_000
     t0 = time.time()
     for t in (1, 10, 25, 40, 50):
@@ -331,12 +329,12 @@ def test_a8_forward_process_moments():
         root = RngSeed(800).derive(t)
         draws = np.empty((n, 2))
         for i in range(n):
-            draws[i] = forward_noise(x0, t, schedule, root.derive(i))[0].data
+            draws[i] = forward_noise(x0, t, schedule, root.derive(i))[0]
         std = math.sqrt(1 - abar)
         for j in range(2):
             mean_band = 3 * std / math.sqrt(n)
             var_band = 3 * (1 - abar) * math.sqrt(2 / (n - 1))
-            assert abs(draws[:, j].mean() - math.sqrt(abar) * x0.data[j]) < mean_band
+            assert abs(draws[:, j].mean() - math.sqrt(abar) * x0[j]) < mean_band
             assert abs(draws[:, j].var() - (1 - abar)) < var_band
     report("A8", f"5 timesteps x 10^5 draws inside 3-sigma bands ({time.time() - t0:.1f}s)")
 
@@ -356,7 +354,7 @@ def test_a9_format_round_trips(tmp_path):
 
     path = tmp_path / "set.dpc"
     provenance = {"events": [{"kind": "mean_query", "q": 0.1, "sigma": 5.0}]}
-    save_container(path, "central", loaded.pixel_matrix(), (8, 8, 1), loaded.label_array(), provenance)
+    save_container(path, "central", loaded.pixels, (8, 8, 1), loaded.labels, provenance)
     blob = path.read_bytes()
     c = load_container(path)
     save_container(path, c.kind, c.pixels, (8, 8, 1), c.labels, c.provenance)

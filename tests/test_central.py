@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from dpsynth import (
-    ImageTensor,
+    CentralImageSet,
     InvalidArgumentError,
     LabeledDataset,
     MeanQueryConfig,
     ModeQueryConfig,
     RngSeed,
-    clip_image,
-    l2_norm,
+    clip_rows,
     mode_from_noisy_histogram,
     pixel_histogram,
     poisson_subsample,
@@ -50,21 +49,21 @@ class TestPoissonSubsample:
 
 
 class TestClipImage:
+    """One image clipped as a 1-row matrix by `clip_rows`."""
+
     def test_exact_halving(self):
-        data = np.full(16, 14.0)  # norm = 56
-        img = ImageTensor(width=4, height=4, channels=1, data=data)
-        out = clip_image(img, 28.0)
-        assert l2_norm(out) == pytest.approx(28.0, rel=1e-12)
-        assert np.allclose(out.data, data / 2.0)
+        data = np.full((1, 16), 14.0)  # norm = 56
+        out = clip_rows(data, 28.0)
+        assert np.linalg.norm(out) == pytest.approx(28.0, rel=1e-12)
+        assert np.allclose(out, data / 2.0)
 
     def test_inactive_clip(self):
-        img = ImageTensor(width=2, height=2, channels=1, data=np.array([1.0, 2.0, 2.0, 0.0]))
-        assert clip_image(img, 28.0) is img
+        img = np.array([[1.0, 2.0, 2.0, 0.0]])
+        assert np.array_equal(clip_rows(img, 28.0), img)
 
     def test_zero_image_passes_through(self):
-        img = ImageTensor(width=2, height=2, channels=1, data=np.zeros(4))
-        out = clip_image(img, 1.0)
-        assert np.all(out.data == 0.0)
+        out = clip_rows(np.zeros((1, 4)), 1.0)
+        assert np.all(out == 0.0)
 
 
 def _uniform_dataset(value: float, n: int = 8, side: int = 4) -> LabeledDataset:
@@ -78,7 +77,7 @@ class TestMeanQuery:
         cfg = MeanQueryConfig(count=1, sampling_rate=1.0, noise_scale=0.0, norm_bound=28.0)
         img, event = query_mean_image(ds, cfg, RngSeed(3))
         assert event is None
-        assert np.allclose(img.data, 0.5, atol=1e-12)
+        assert np.allclose(img, 0.5, atol=1e-12)
 
     def test_sensitivity_arithmetic(self):
         # norm bound 28 over expected batch 6000
@@ -107,7 +106,7 @@ class TestMeanQuery:
 
     def test_prenoise_linearity(self, small_ds):
         # query(c * images) = c * query(images) when norms stay inside the bound
-        pixels = small_ds.pixel_matrix()
+        pixels = small_ds.pixels
         idx = np.arange(10)
         big_bound = 100.0
         full = mean_aggregate(pixels, idx, big_bound, 10.0)
@@ -120,7 +119,7 @@ class TestMeanQuery:
         img, event = query_mean_image(ds, cfg, RngSeed(11))
         sensitivity = 4.0 / (1e-9 * 4)
         # noise at that scale dwarfs any residual signal
-        assert np.abs(img.data).max() > 1e6
+        assert np.abs(img).max() > 1e6
         assert event.sigma == 2.0
 
 
@@ -176,15 +175,15 @@ class TestModeQuery:
         cfg = ModeQueryConfig(count=1, sampling_rate=1.0, noise_scale=0.0, bins=2)
         img, event = query_mode_image(ds, cfg, RngSeed(5))
         assert event is None
-        assert np.allclose(img.data[:8], 0.75)
-        assert np.allclose(img.data[8:], 0.25)
+        assert np.allclose(img[:8], 0.75)
+        assert np.allclose(img[8:], 0.25)
 
     def test_output_on_midpoint_lattice(self, small_ds):
         cfg = ModeQueryConfig(count=1, sampling_rate=0.5, noise_scale=3.0, bins=8)
         img, _ = query_mode_image(small_ds, cfg, RngSeed(6))
         lattice = (2 * np.arange(1, 9) - 1) / 2.0 * (1.0 / 8)
-        assert np.all(np.isin(img.data, lattice))
-        assert img.data.min() > 0.0 and img.data.max() < 1.0
+        assert np.all(np.isin(img, lattice))
+        assert img.min() > 0.0 and img.max() < 1.0
 
     def test_histogram_neighboring_pair_sensitivity(self):
         gen = np.random.default_rng(23)
@@ -236,7 +235,7 @@ class TestQueryCentralSet:
         cfg = MeanQueryConfig(count=6, sampling_rate=0.3, noise_scale=5.0, norm_bound=8.0)
         a = query_central_set(toy_ds, "mean", cfg, RngSeed(9), per_label=True)
         b = query_central_set(toy_ds, "mean", cfg, RngSeed(9), per_label=True)
-        assert np.array_equal(a.pixel_matrix(), b.pixel_matrix())
+        assert np.array_equal(a.pixels, b.pixels)
         assert np.array_equal(a.labels, b.labels)
 
     def test_events_match_repetitions_invariant(self, small_ds):
@@ -244,3 +243,17 @@ class TestQueryCentralSet:
         out = query_central_set(small_ds, "mean", cfg, RngSeed(2))
         assert len(out.events) == 7
         assert all(ev.q == 0.4 and ev.sigma == 3.0 for ev in out.events)
+
+    def test_overflowing_noise_is_refused(self, small_ds):
+        # noise std = 1e300 * (1e300 / expected batch) overflows to inf
+        cfg = MeanQueryConfig(count=2, sampling_rate=1.0, noise_scale=1e300, norm_bound=1e300)
+        img, _ = query_mean_image(small_ds, cfg, RngSeed(3))
+        assert np.isinf(img).all()
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            query_central_set(small_ds, "mean", cfg, RngSeed(3))
+
+    def test_non_finite_pixels_rejected(self):
+        pixels = np.zeros((3, 4))
+        pixels[2, 1] = np.nan
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            CentralImageSet(pixels, None, "mean")

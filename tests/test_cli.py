@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpsynth.cli import main
-from dpsynth.data_io import load_container
+from dpsynth.data_io import load_container, save_container
 
 
 def parse_kv(output: str) -> dict:
@@ -162,6 +162,18 @@ class TestEndToEndCli:
         assert rc == 0
         kv = parse_kv(capsys.readouterr().out)
         assert "frechet" in kv and "acc" in kv and "loss_p" in kv
+
+    def test_evaluate_refuses_out_of_range_real_pixels(self, tmp_path, toy_container, capsys):
+        # The probe reads the real data unclipped, so it fails closed like the loss.
+        real = load_container(toy_container)
+        bad = tmp_path / "bad_real.dpc"
+        pixels = real.pixels.copy()
+        pixels[7, 3] = 1.5
+        save_container(bad, "sensitive", pixels, (8, 8, 1), labels=real.labels)
+        rc = main(["evaluate", "--synthetic", str(toy_container), "--real", str(bad)])
+        assert rc == 1
+        assert "image 7 has values outside [0, 1]" in capsys.readouterr().err
+        assert main(["evaluate", "--synthetic", str(toy_container), "--real", str(toy_container)]) == 0
 
     def test_bad_config_is_user_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -5,35 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dpsynth import ImageTensor, InvalidArgumentError, LabeledDataset, RngSeed, gaussian_noise, l2_norm
+from dpsynth import InvalidArgumentError, LabeledDataset, RngSeed, gaussian_noise
 
-from conftest import image_from_flat
 from oracles import clt_mean_bound, clt_variance_bound
-
-
-class TestL2Norm:
-    def test_zero_image(self):
-        assert l2_norm(image_from_flat([0, 0, 0, 0])) == 0.0
-
-    def test_single_element(self):
-        assert l2_norm(image_from_flat([0.5], w=1, h=1)) == 0.5
-
-    def test_hand_arithmetic(self):
-        # sqrt(9 + 16) = 5
-        assert l2_norm(image_from_flat([3, 4, 0, 0])) == pytest.approx(5.0, abs=0)
-
-    @given(
-        st.lists(st.floats(-10, 10, allow_nan=False), min_size=4, max_size=4),
-        st.floats(-100, 100, allow_nan=False),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_absolute_homogeneity(self, values, c):
-        x = image_from_flat(values)
-        cx = image_from_flat([c * v for v in values])
-        assert l2_norm(cx) == pytest.approx(abs(c) * l2_norm(x), rel=1e-12, abs=1e-12)
 
 
 class TestGaussianNoise:
@@ -83,27 +58,6 @@ class TestRngSeed:
         g1 = RngSeed(7, 3).generator().standard_normal(10)
         g2 = RngSeed(7, 3).generator().standard_normal(10)
         assert np.array_equal(g1, g2)
-
-
-class TestImageTensor:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            ImageTensor(width=2, height=2, channels=1, data=np.zeros(3))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            image_from_flat([0.0, np.nan, 0.0, 0.0])
-
-    def test_data_is_immutable(self):
-        img = image_from_flat([0.1, 0.2, 0.3, 0.4])
-        with pytest.raises(ValueError):
-            img.data[0] = 1.0
-
-    def test_3d_round_trip(self):
-        a = np.arange(24, dtype=float).reshape(3, 4, 2) / 24.0
-        img = ImageTensor.from_3d(a)
-        assert img.shape == (3, 4, 2)
-        assert np.array_equal(img.as_3d(), a)
 
 
 def _dataset_with(pixel=None, value=0.5, labels=(0, 1, 1, 0), width=4, num_classes=2):
@@ -163,12 +117,12 @@ class TestLabeledDataset:
         ds = LabeledDataset(pixels, labels, 2, (2, 2, 1))
         pixels[0, 0] = 0.75
         labels[0] = 1
-        assert ds.pixel_matrix()[0, 0] == 0.25 and ds.label_array()[0] == 0
-        assert ds.pixel_matrix().dtype == np.float64 and ds.label_array().dtype == np.int64
+        assert ds.pixels[0, 0] == 0.25 and ds.labels[0] == 0
+        assert ds.pixels.dtype == np.float64 and ds.labels.dtype == np.int64
         with pytest.raises(ValueError):
-            ds.pixel_matrix()[0, 0] = 1.0
+            ds.pixels[0, 0] = 1.0
         with pytest.raises(ValueError):
-            ds.label_array()[0] = 1
+            ds.labels[0] = 1
 
     def test_nan_rejected_under_optimize(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -195,11 +149,11 @@ class TestLabeledDataset:
     def test_subset_and_partition_keep_row_order(self, toy_ds):
         idx = [7, 3, 3, 250]
         sub = toy_ds.subset(idx)
-        assert np.array_equal(sub.pixel_matrix(), toy_ds.pixel_matrix()[idx])
-        assert np.array_equal(sub.label_array(), toy_ds.label_array()[idx])
+        assert np.array_equal(sub.pixels, toy_ds.pixels[idx])
+        assert np.array_equal(sub.labels, toy_ds.labels[idx])
         for label, part in toy_ds.partition_by_label().items():
-            rows = np.flatnonzero(toy_ds.label_array() == label)
-            assert np.array_equal(part.pixel_matrix(), toy_ds.pixel_matrix()[rows])
+            rows = np.flatnonzero(toy_ds.labels == label)
+            assert np.array_equal(part.pixels, toy_ds.pixels[rows])
 
     def test_partition_by_label_is_disjoint_cover(self, toy_ds):
         parts = toy_ds.partition_by_label()

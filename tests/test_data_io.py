@@ -23,9 +23,9 @@ class TestIdx:
         ds = read_idx(images, labels)
         assert len(ds) == 2
         assert ds.image_shape == (2, 2, 1)
-        assert np.allclose(ds.pixel_matrix()[0], [0.0, 128 / 255, 1.0, 0.0])
-        assert np.allclose(ds.pixel_matrix()[1], [1.0, 0.0, 128 / 255, 128 / 255])
-        assert ds.label_array().tolist() == [1, 0]
+        assert np.allclose(ds.pixels[0], [0.0, 128 / 255, 1.0, 0.0])
+        assert np.allclose(ds.pixels[1], [1.0, 0.0, 128 / 255, 128 / 255])
+        assert ds.labels.tolist() == [1, 0]
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         images, labels = _write_idx_fixture(tmp_path)
@@ -130,8 +130,8 @@ class TestToyGlyphs:
     def test_fixed_seed_reproducible(self):
         a = generate_toy_glyphs(5, 10, (8, 8, 1), RngSeed(3))
         b = generate_toy_glyphs(5, 10, (8, 8, 1), RngSeed(3))
-        assert np.array_equal(a.pixel_matrix(), b.pixel_matrix())
-        assert np.array_equal(a.label_array(), b.label_array())
+        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_minimum_canvas_enforced(self):
         with pytest.raises(Exception, match="at least 8x8"):
@@ -148,5 +148,5 @@ class TestToyGlyphs:
     def test_values_in_unit_range_and_shape(self):
         ds = generate_toy_glyphs(3, 10, (10, 12, 3), RngSeed(4))
         assert ds.image_shape == (10, 12, 3)
-        mat = ds.pixel_matrix()
+        mat = ds.pixels
         assert mat.min() >= 0.0 and mat.max() <= 1.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dpsynth.diffusion as diffusion_mod
-from dpsynth import ImageTensor, InvalidArgumentError, RngSeed
+from dpsynth import InvalidArgumentError, RngSeed
 from dpsynth.core import clip_factors
 from dpsynth.diffusion import (
     DenoiserParams,
@@ -66,7 +66,7 @@ class TestForwardNoise:
 
     def test_out_of_range_step(self, rng):
         sched = NoiseSchedule(betas=(0.5, 0.5))
-        img = ImageTensor(width=2, height=2, channels=1, data=np.zeros(4))
+        img = np.zeros(4)
         with pytest.raises(InvalidArgumentError):
             forward_noise(img, 0, sched, rng)
         with pytest.raises(InvalidArgumentError):
@@ -74,25 +74,35 @@ class TestForwardNoise:
 
     def test_moment_oracle(self):
         sched = NoiseSchedule.linear(50)
-        x0_img = ImageTensor(width=2, height=1, channels=1, data=np.array([0.3, 0.9]))
+        x0_img = np.array([0.3, 0.9])
         n = 20_000
         t = 10
         abar = sched.alpha_bar(t)
         draws = np.stack(
-            [forward_noise(x0_img, t, sched, RngSeed(1).derive(i))[0].data for i in range(n)]
+            [forward_noise(x0_img, t, sched, RngSeed(1).derive(i))[0] for i in range(n)]
         )
         std = np.sqrt(1 - abar)
         for j in range(2):
-            mean_err = abs(draws[:, j].mean() - np.sqrt(abar) * x0_img.data[j])
+            mean_err = abs(draws[:, j].mean() - np.sqrt(abar) * x0_img[j])
             var_err = abs(draws[:, j].var() - (1 - abar))
             assert mean_err < clt_mean_bound(std, n)
             assert var_err < clt_variance_bound(1 - abar, n)
 
     def test_returns_matching_noise(self, rng):
         sched = NoiseSchedule.linear(50)
-        img = ImageTensor(width=2, height=2, channels=1, data=np.full(4, 0.5))
+        img = np.full(4, 0.5)
         xt, e = forward_noise(img, 7, sched, rng)
-        assert np.allclose(xt.data, corrupt(img.data, sched.alpha_bar(7), e))
+        assert np.allclose(xt, corrupt(img, sched.alpha_bar(7), e))
+
+
+class TestDenoiserParams:
+    def test_vector_is_a_read_only_copy(self):
+        v = np.zeros(TINY.num_params)
+        params = DenoiserParams(TINY, v)
+        v[0] = 1.0  # the caller's array stays writable ...
+        assert params.vector[0] == 0.0  # ... and does not alias the parameters
+        with pytest.raises(ValueError):
+            params.vector[0] = 2.0
 
 
 class TestDenoiserForward:

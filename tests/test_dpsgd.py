@@ -14,7 +14,7 @@ from dpsynth import (
     PrivacySpec,
     RngSeed,
     TrainHooks,
-    clip_gradient,
+    clip_rows,
 )
 from dpsynth.core import InvalidArgumentError, clip_factors
 from dpsynth.diffusion import (
@@ -49,17 +49,19 @@ def zero_engine(p, x0, labels, erng, weights, example_ids=None):
 
 
 class TestClipGradient:
+    """One gradient clipped as a 1-row matrix by `clip_rows`."""
+
     def test_norm_halved_to_bound(self):
-        g = np.full(16, 1.0)  # norm 4
-        out = clip_gradient(g, 2.0)
+        g = np.full((1, 16), 1.0)  # norm 4
+        out = clip_rows(g, 2.0)
         assert np.linalg.norm(out) == pytest.approx(2.0, rel=1e-12)
 
     def test_inactive_inside_ball(self):
-        g = np.array([0.3, 0.4])  # norm 0.5
-        assert np.array_equal(clip_gradient(g, 1.0), g)
+        g = np.array([[0.3, 0.4]])  # norm 0.5
+        assert np.array_equal(clip_rows(g, 1.0), g)
 
     def test_zero_gradient(self):
-        assert np.all(clip_gradient(np.zeros(5), 1.0) == 0.0)
+        assert np.all(clip_rows(np.zeros((1, 5)), 1.0) == 0.0)
 
 
 class TestClipFactors:
@@ -135,7 +137,7 @@ class TestDpStep:
         stepped, event, stats = dp_step(params, ds, cfg, diffusion_engine, RngSeed(2))
         assert event is None
         assert stats.batch_size == len(ds)
-        args = (params, ds.pixel_matrix(), ds.label_array(), SCHED, RngSeed(2).derive(2))
+        args = (params, ds.pixels, ds.labels, SCHED, RngSeed(2).derive(2))
         ids = np.arange(len(ds))
         grad_sum, _, _ = loss_and_weighted_grad_sum(*args, np.ones_like, 1, ids)
         expected = params.vector - 0.1 * (grad_sum / len(ds))
@@ -151,7 +153,7 @@ class TestDpStep:
         cfg = DpSgdConfig(learning_rate=1.0, clip_bound=0.5, noise_scale=0.0, sampling_rate=1.0, steps=1)
         stepped, _, _ = dp_step(params, one, cfg, diffusion_engine, RngSeed(4))
         g = loss_and_per_example_grads(
-            params, one.pixel_matrix(), one.label_array(), SCHED, RngSeed(4).derive(2), 1, [0]
+            params, one.pixels, one.labels, SCHED, RngSeed(4).derive(2), 1, [0]
         ).per_example_grads[0]
         clipped = g * min(1.0, 0.5 / np.linalg.norm(g))
         assert np.allclose(stepped.vector, params.vector - clipped, rtol=1e-12, atol=1e-15)

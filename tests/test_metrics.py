@@ -8,7 +8,6 @@ from dpsynth.metrics import (
     denoising_loss_estimate,
     frechet_distance,
     train_probe_classifier,
-    warmup_diagnostics,
 )
 
 from oracles import frechet_diagonal_oracle
@@ -98,8 +97,8 @@ class TestFrechetDistance:
 class TestFeatureExtractor:
     def test_downsample_shape_and_determinism(self, toy_ds):
         ex = FeatureExtractor("downsample", 16)
-        f1 = ex.extract(toy_ds.pixel_matrix(), toy_ds.image_shape)
-        f2 = ex.extract(toy_ds.pixel_matrix(), toy_ds.image_shape)
+        f1 = ex.extract(toy_ds.pixels, toy_ds.image_shape)
+        f2 = ex.extract(toy_ds.pixels, toy_ds.image_shape)
         assert f1.shape == (len(toy_ds), 16)
         assert np.array_equal(f1, f2)
 
@@ -111,11 +110,11 @@ class TestFeatureExtractor:
     def test_pca_requires_fit(self, toy_ds):
         ex = FeatureExtractor("pca", 8)
         with pytest.raises(InvalidArgumentError, match="fit"):
-            ex.extract(toy_ds.pixel_matrix(), toy_ds.image_shape)
+            ex.extract(toy_ds.pixels, toy_ds.image_shape)
 
     def test_pca_projection_shape(self, toy_ds):
-        ex = FeatureExtractor("pca", 8).fit(toy_ds.pixel_matrix())
-        feats = ex.extract(toy_ds.pixel_matrix(), toy_ds.image_shape)
+        ex = FeatureExtractor("pca", 8).fit(toy_ds.pixels)
+        feats = ex.extract(toy_ds.pixels, toy_ds.image_shape)
         assert feats.shape == (len(toy_ds), 8)
 
     def test_dimension_cap(self):
@@ -132,7 +131,7 @@ class TestProbeClassifier:
         gen = np.random.default_rng(5)
         labels = np.array(toy_ds.labels)
         gen.shuffle(labels)
-        shuffled = LabeledDataset(toy_ds.pixel_matrix(), labels, 10, toy_ds.image_shape)
+        shuffled = LabeledDataset(toy_ds.pixels, labels, 10, toy_ds.image_shape)
         holdout = generate_toy_glyphs(50, 10, (8, 8, 1), RngSeed(78))
         acc = train_probe_classifier(shuffled, holdout)
         # 3-sigma binomial band around chance level 1/10
@@ -198,17 +197,3 @@ class TestDenoisingLossEstimate:
         a = denoising_loss_estimate(params, sched, toy_ds, RngSeed(5), draws=500)
         b = denoising_loss_estimate(params, sched, toy_ds, RngSeed(5), draws=500)
         assert a == b
-
-
-class TestWarmupDiagnostics:
-    def test_report_is_deterministic(self, toy_ds):
-        m = ParamManifest(height=8, width=8, channels=1, hidden1=16, hidden2=16, time_dim=4, num_classes=10, label_dim=4)
-        params = init_params(m, RngSeed(0))
-        sched = NoiseSchedule.linear(10)
-        ex = FeatureExtractor("downsample", 16)
-        r1 = warmup_diagnostics(params, sched, toy_ds, ex, RngSeed(9), n_synthetic=30, loss_draws=500)
-        r2 = warmup_diagnostics(params, sched, toy_ds, ex, RngSeed(9), n_synthetic=30, loss_draws=500)
-        assert r1 == r2
-        assert r1.n_real == len(toy_ds)
-        assert r1.n_synth == 30
-        assert r1.acc is None

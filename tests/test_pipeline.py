@@ -21,6 +21,7 @@ from dpsynth.pipeline import (
     build_manifest,
     build_schedule,
     load_dataset,
+    query_central,
     run_all,
     run_stage1,
     run_stage2,
@@ -74,6 +75,18 @@ class TestConfig:
 
 
 class TestStage1:
+    def test_query_central_takes_every_option_from_the_config(self, tmp_path):
+        ds = load_dataset(tiny_config(tmp_path, "q").dataset, RngSeed(1))
+        mean = query_central(CentralConfig(kind="mean", count=4, per_label=False), ds, RngSeed(2))
+        assert mean.config["norm_bound"] == 8.0  # sqrt(8 * 8 * 1)
+        assert mean.labels is None and len(mean) == 4
+        mode = query_central(
+            CentralConfig(kind="mode", count=10, bins=3, per_label=True, parallel_accounting=True), ds, RngSeed(2)
+        )
+        assert mode.config["bins"] == 3 and mode.kind == "mode"
+        assert sorted(mode.labels) == list(range(10))
+        assert {ev.partition for ev in mode.events} == {f"label={l}" for l in range(10)}
+
     def test_none_kind_is_baseline_path(self, tmp_path):
         cfg = tiny_config(tmp_path, "e", central=CentralConfig(kind="none"))
         rng = RngSeed(cfg.seed)
