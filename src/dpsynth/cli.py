@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,7 +26,12 @@ from .accounting import (
 )
 from .core import InvalidArgumentError, LabeledDataset, RngSeed
 from .diffusion import load_checkpoint, sample
-from .metrics import FeatureExtractor, frechet_distance, train_probe_classifier
+from .metrics import (
+    FeatureExtractor,
+    denoising_loss_estimate,
+    frechet_distance,
+    train_probe_classifier,
+)
 from .pipeline import ConfigError, PipelineConfig
 
 USER_ERRORS = (
@@ -239,17 +245,25 @@ def cmd_evaluate(args) -> int:
         # is never clipped, so out-of-range sensitive pixels fail closed.
         num_classes = int(max(synth.labels.max(), real.labels.max())) + 1 if probe else None
         real_ds = real.to_dataset(num_classes)
-    if probe:
-        synth_ds = LabeledDataset(np.clip(synth.pixels, 0, 1), synth.labels, real_ds.num_classes, shape)
-        acc = train_probe_classifier(synth_ds, real_ds)
-        _print_kv("acc", f"{acc:.6f}")
+    # The probe trains on a worker thread while this one loads the checkpoint
+    # and estimates the loss; numpy's BLAS and ufunc kernels release the GIL.
+    # A probe error is raised in place of a loss error; a lone loss error
+    # is raised after acc is printed.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        acc = None
+        if probe:
+            synth_ds = LabeledDataset(np.clip(synth.pixels, 0, 1), synth.labels, real_ds.num_classes, shape)
+            acc = pool.submit(train_probe_classifier, synth_ds, real_ds)
+        try:
+            if args.checkpoint:
+                params, schedule = load_checkpoint(args.checkpoint)
+                loss_p = denoising_loss_estimate(
+                    params, schedule, real_ds, RngSeed(args.seed), draws=args.loss_draws
+                )
+        finally:
+            if acc is not None:
+                _print_kv("acc", f"{acc.result():.6f}")
     if args.checkpoint:
-        from .metrics import denoising_loss_estimate
-
-        params, schedule = load_checkpoint(args.checkpoint)
-        loss_p = denoising_loss_estimate(
-            params, schedule, real_ds, RngSeed(args.seed), draws=args.loss_draws
-        )
         _print_kv("loss_p", f"{loss_p:.9g}")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -63,9 +63,27 @@ class RngSeed:
             s = _splitmix64(s ^ (int(idx) & _MASK64))
         return RngSeed(self.seed, s)
 
-    def generator(self) -> np.random.Generator:
+    def generator(self, into: Optional[np.random.Generator] = None) -> np.random.Generator:
+        """A generator at the start of this stream.
+
+        With `into`, a Philox-backed generator from an earlier call, re-key
+        that generator in place and return it: a fresh Philox costs an OS
+        entropy read, and loops that open one stream per example pay it each
+        time. The re-keyed state equals a fresh generator's (counter 0, empty
+        buffer, no buffered 32-bit half), so it draws the same sequence.
+        """
         key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        if into is None:
+            return np.random.Generator(np.random.Philox(key=key))
+        into.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return into
 
 
 def frozen_copy(a: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ class FormatError(Exception):
         self.offset = offset
 
 
-def _read_exact(data: bytes, offset: int, n: int, what: str) -> bytes:
+def _read_exact(data: bytes | memoryview, offset: int, n: int, what: str) -> bytes | memoryview:
     if offset + n > len(data):
         raise FormatError(f"truncated while reading {what}: need {n} bytes", offset)
     return data[offset : offset + n]
@@ -165,12 +165,12 @@ def save_container(
 
 def load_container(path) -> ContainerFile:
     with open(path, "rb") as f:
-        data = f.read()
+        data = memoryview(f.read())  # slices of a view copy nothing
     if _read_exact(data, 0, 8, "container magic") != CONTAINER_MAGIC:
-        raise FormatError(f"bad container magic {data[:8]!r}", 0)
+        raise FormatError(f"bad container magic {bytes(data[:8])!r}", 0)
     (hlen,) = struct.unpack("<I", _read_exact(data, 8, 4, "header length"))
     try:
-        header = json.loads(_read_exact(data, 12, hlen, "header").decode("utf-8"))
+        header = json.loads(bytes(_read_exact(data, 12, hlen, "header")).decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"undecodable header: {exc}", 12) from exc
     off = 12 + hlen

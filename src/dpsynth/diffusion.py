@@ -366,8 +366,9 @@ def _noise_draws(
         raise InvalidArgumentError("example_ids must match the batch size")
     ts = np.empty((n, k), dtype=np.int64)
     es = np.empty((n, k, manifest.data_dim))
+    gen = None
     for i, ex in enumerate(ids):
-        gen = rng.derive(int(ex)).generator()
+        gen = rng.derive(int(ex)).generator(into=gen)
         ts[i] = gen.integers(1, T + 1, size=k)
         es[i] = gen.standard_normal((k, manifest.data_dim))
     return ts, es
@@ -570,13 +571,13 @@ def save_checkpoint(path, params: DenoiserParams, schedule: NoiseSchedule) -> No
 
 def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
     with open(path, "rb") as f:
-        data = f.read()
+        data = memoryview(f.read())  # slices of a view copy nothing
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise InvalidArgumentError(f"bad checkpoint magic at byte 0 in {path}")
     off = len(CHECKPOINT_MAGIC)
     (hlen,) = struct.unpack_from("<I", data, off)
     off += 4
-    header = json.loads(data[off : off + hlen].decode("utf-8"))
+    header = json.loads(bytes(data[off : off + hlen]).decode("utf-8"))
     off += hlen
     manifest = ParamManifest.from_dict(header["manifest"])
     t = int(header["num_steps"])

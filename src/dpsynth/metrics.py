@@ -42,15 +42,23 @@ class FeatureExtractor:
             raise InvalidArgumentError("feature dimension must be in [1, 64]")
 
     def fit(self, pixels: np.ndarray) -> "FeatureExtractor":
-        """PCA fit on reference data; a no-op for the downsampling map."""
+        """PCA fit on reference data; a no-op for the downsampling map.
+
+        The components are the top eigenvectors of the D x D scatter matrix of
+        the centred data, O(N*D^2 + D^3) with no N x D factor kept. This
+        assumes N >= D, as for a reference dataset; with fewer rows than
+        pixels a thin SVD would be cheaper.
+        """
         if self.kind != "pca":
             return self
         x = np.asarray(pixels, dtype=np.float64)
         if x.shape[0] <= self.dim:
             raise InvalidArgumentError("PCA fit needs more samples than output dimensions")
         self._mean = x.mean(axis=0)
-        _, _, vt = np.linalg.svd(x - self._mean, full_matrices=False)
-        comps = vt[: self.dim]
+        xc = x - self._mean
+        _, vecs = np.linalg.eigh(xc.T @ xc)
+        # eigh sorts ascending: keep the last dim eigenvectors, largest first.
+        comps = vecs[:, : -self.dim - 1 : -1].T
         # Fix signs so the largest-magnitude loading is positive: determinism.
         signs = np.sign(comps[np.arange(len(comps)), np.abs(comps).argmax(axis=1)])
         self._components = comps * signs[:, None]

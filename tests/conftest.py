@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dpsynth import LabeledDataset, RngSeed, generate_toy_glyphs
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_a_test():
+    """Fail a test that leaves a thread running, e.g. an executor worker never joined."""
+    before = set(threading.enumerate())
+    yield
+    after = set(threading.enumerate())
+    if after != before:
+        pytest.fail(
+            f"threads changed during the test: started {sorted(t.name for t in after - before)}, "
+            f"ended {sorted(t.name for t in before - after)}"
+        )
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from dpsynth import RngSeed
 from dpsynth.cli import main
+from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, save_checkpoint
 from dpsynth.data_io import load_container, save_container
 
 
@@ -174,6 +176,34 @@ class TestEndToEndCli:
         assert rc == 1
         assert "image 7 has values outside [0, 1]" in capsys.readouterr().err
         assert main(["evaluate", "--synthetic", str(toy_container), "--real", str(toy_container)]) == 0
+
+    def test_evaluate_probe_error_wins_over_loss_error(self, tmp_path, toy_container, capsys):
+        # The probe fails (single-class synthetic set) and the checkpoint is missing:
+        # the probe's error is reported and nothing is printed after n_synth.
+        real = load_container(toy_container)
+        single = tmp_path / "single.dpc"
+        save_container(single, "synthetic", real.pixels[:40], (8, 8, 1), labels=np.zeros(40, dtype=np.int64))
+        rc = main(["evaluate", "--synthetic", str(single), "--real", str(toy_container),
+                   "--checkpoint", str(tmp_path / "missing.ckpt")])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert [line.split("=")[0] for line in out.splitlines()] == ["frechet", "n_real", "n_synth"]
+        assert "single-class" in err and "missing.ckpt" not in err
+
+    def test_evaluate_loss_error_follows_probe_accuracy(self, tmp_path, toy_container, capsys):
+        # The probe passes and the checkpoint is corrupt: acc is printed, then the loss error.
+        ck = tmp_path / "model.ckpt"
+        save_checkpoint(ck, init_params(ParamManifest(8, 8, 1, hidden1=16, hidden2=16, time_dim=4), RngSeed(1)),
+                        NoiseSchedule.linear(10))
+        data = bytearray(ck.read_bytes())
+        data[-5] ^= 0xFF
+        ck.write_bytes(bytes(data))
+        rc = main(["evaluate", "--synthetic", str(toy_container), "--real", str(toy_container),
+                   "--checkpoint", str(ck)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert [line.split("=")[0] for line in out.splitlines()] == ["frechet", "n_real", "n_synth", "acc"]
+        assert "checksum" in err
 
     def test_bad_config_is_user_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

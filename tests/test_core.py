@@ -41,6 +41,16 @@ class TestGaussianNoise:
         assert not np.array_equal(a, b)
 
 
+def _mixed_draws(gen):
+    return (
+        gen.integers(1, 1001, size=7),
+        gen.integers(0, 1000, size=3, dtype=np.int32),
+        gen.standard_normal((3, 5)),
+        gen.random(4),
+        gen.uniform(0.7, 1.0, size=2),
+    )
+
+
 class TestRngSeed:
     def test_derive_is_order_sensitive(self):
         root = RngSeed(1)
@@ -58,6 +68,24 @@ class TestRngSeed:
         g1 = RngSeed(7, 3).generator().standard_normal(10)
         g2 = RngSeed(7, 3).generator().standard_normal(10)
         assert np.array_equal(g1, g2)
+
+    @pytest.mark.parametrize("odd_half", [False, True])
+    def test_rekeyed_generator_matches_fresh(self, odd_half):
+        meta = np.random.default_rng(2024)
+        gen = RngSeed(1).generator()
+        for _ in range(20):
+            seed, stream, idx = (int(v) for v in meta.integers(0, 2**63, size=3, dtype=np.uint64))
+            # Leave the previous stream part-way through, with a buffered 32-bit half if asked.
+            gen.standard_normal(int(meta.integers(1, 9)))
+            if odd_half:
+                gen.integers(0, 1000, size=1, dtype=np.int32)
+                assert gen.bit_generator.state["has_uint32"] == 1
+            rng = RngSeed(seed, stream).derive(idx)
+            reused = rng.generator(into=gen)
+            assert reused is gen
+            assert reused.bit_generator.state["state"]["key"].tolist() == [seed, rng.stream]
+            for a, b in zip(_mixed_draws(rng.generator()), _mixed_draws(reused)):
+                assert np.array_equal(a, b)
 
 
 def _dataset_with(pixel=None, value=0.5, labels=(0, 1, 1, 0), width=4, num_classes=2):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,24 @@ class TestContainer:
             load_container(path)
         assert exc.value.offset == 0
 
+
+    def test_load_keeps_one_copy_of_the_payload(self, tmp_path):
+        gen = np.random.default_rng(3)
+        pixels = gen.random((500, 784))
+        labels = gen.integers(0, 10, size=500)
+        path = tmp_path / "big.dpc"
+        save_container(path, "sensitive", pixels, (28, 28, 1), labels)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * size
+        assert np.array_equal(loaded.pixels.view(np.uint64), pixels.view(np.uint64))
+        assert np.array_equal(loaded.labels, labels)
+        assert not loaded.pixels.flags.writeable
 
 class TestToyGlyphs:
     def test_empty_request(self):

@@ -117,6 +117,24 @@ class TestFeatureExtractor:
         feats = ex.extract(toy_ds.pixels, toy_ds.image_shape)
         assert feats.shape == (len(toy_ds), 8)
 
+    def test_pca_matches_svd_oracle(self):
+        # Decaying spectrum with distinct singular values, so the components are unique up to sign.
+        gen = np.random.default_rng(11)
+        n, d, dim = 600, 48, 12
+        basis, _ = np.linalg.qr(gen.standard_normal((d, d)))
+        x = 0.5 + (gen.standard_normal((n, d)) * 0.85 ** np.arange(d)) @ basis.T
+        ex = FeatureExtractor("pca", dim).fit(x)
+        _, _, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        ref = vt[:dim]
+        for got, want in zip(ex._components, ref):
+            assert min(np.abs(got - want).max(), np.abs(got + want).max()) < 1e-9
+        other = 0.5 + gen.standard_normal((300, d)) @ basis.T * 0.5
+        shape = (6, 8, 1)
+        fd = frechet_distance(ex.extract(other, shape), ex.extract(x, shape))
+        mu = x.mean(axis=0)
+        fd_ref = frechet_distance((other - mu) @ ref.T, (x - mu) @ ref.T)
+        assert fd == pytest.approx(fd_ref, rel=1e-9)
+
     def test_dimension_cap(self):
         with pytest.raises(InvalidArgumentError):
             FeatureExtractor("downsample", 65)
