@@ -39,14 +39,12 @@ from .core import (
 from .data_io import FormatError, generate_toy_glyphs, load_container, read_idx, save_container, write_idx
 from .diffusion import (
     DenoiserParams,
-    DiffusionBatchLoss,
     NoiseSchedule,
     ParamManifest,
     denoiser_forward,
     forward_noise,
     init_params,
     load_checkpoint,
-    loss_and_per_example_grads,
     loss_and_weighted_grad_sum,
     sample,
     save_checkpoint,

@@ -365,23 +365,21 @@ def calibrate_sigma_f(
     target_epsilon: float,
     delta: float,
     orders: Sequence[float] | None = None,
-    sigma_range: tuple[float, float] = SIGMA_SEARCH_RANGE,
-    rel_tol: float = SIGMA_SEARCH_REL_TOL,
 ) -> float:
     """Smallest fine-tuning noise scale keeping the total budget under target.
 
     The query-stage events are fixed; the fine-tuning stage contributes
     `steps` sub-sampled Gaussian releases at `sampling_rate`. Binary search
-    over the noise scale returns, within `rel_tol` relative width, the
-    smallest scale whose composed epsilon does not exceed the target.
-    Interior solutions land in [0.999 * target, target]; if even the lower
-    search bound satisfies the budget (e.g. zero steps) the bound itself is
-    returned.
+    over `SIGMA_SEARCH_RANGE` returns, within `SIGMA_SEARCH_REL_TOL` relative
+    width, the smallest scale whose composed epsilon does not exceed the
+    target. Interior solutions land in [0.999 * target, target]; if even the
+    lower search bound satisfies the budget (e.g. zero steps) the bound
+    itself is returned.
     """
     if steps < 0:
         raise InvalidArgumentError("steps must be non-negative")
     orders = tuple(orders) if orders is not None else default_orders()
-    sigma_lo, sigma_hi = sigma_range
+    sigma_lo, sigma_hi = SIGMA_SEARCH_RANGE
 
     warm_curve = compose(query_events, orders)
     eps_w, _ = rdp_to_dp(warm_curve, delta)
@@ -422,7 +420,7 @@ def calibrate_sigma_f(
 
     lo, hi = sigma_lo, sigma_hi
     for _ in range(80):
-        if hi / lo - 1.0 <= rel_tol:
+        if hi / lo - 1.0 <= SIGMA_SEARCH_REL_TOL:
             break
         mid = math.sqrt(lo * hi)
         if int_epsilon(mid) <= target_epsilon:
@@ -443,7 +441,7 @@ def calibrate_sigma_f(
             return sigma_lo
 
     for _ in range(200):
-        if hi / lo - 1.0 <= rel_tol and total_epsilon(hi) >= 0.999 * target_epsilon:
+        if hi / lo - 1.0 <= SIGMA_SEARCH_REL_TOL and total_epsilon(hi) >= 0.999 * target_epsilon:
             break
         mid = math.sqrt(lo * hi)
         if total_epsilon(mid) <= target_epsilon:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 user error (bad arguments, files, or budgets),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -25,7 +26,7 @@ from .accounting import (
     rdp_to_dp,
 )
 from .core import InvalidArgumentError, LabeledDataset, RngSeed
-from .diffusion import load_checkpoint, sample
+from .diffusion import load_checkpoint, sample, save_checkpoint
 from .metrics import (
     FeatureExtractor,
     denoising_loss_estimate,
@@ -38,7 +39,6 @@ USER_ERRORS = (
     InvalidArgumentError,
     BudgetExhaustedError,
     ConfigError,
-    data_io.FormatError,
     FileNotFoundError,
 )
 
@@ -133,9 +133,7 @@ def cmd_query_central(args) -> int:
     central = pipeline.query_central(ccfg, ds, RngSeed(args.seed).derive(1))
     pipeline.save_central(args.out, central, ds.image_shape)
     if args.events_out:
-        with open(args.events_out, "w") as f:
-            json.dump([ev.to_dict() for ev in central.events], f, indent=2, sort_keys=True)
-            f.write("\n")
+        data_io.write_json(args.events_out, [ev.to_dict() for ev in central.events])
     _print_kv("count", len(central))
     _print_kv("events", len(central.events))
     _print_kv("out", args.out)
@@ -143,8 +141,6 @@ def cmd_query_central(args) -> int:
 
 
 def _load_config(args) -> PipelineConfig:
-    import dataclasses
-
     cfg = PipelineConfig.from_json_file(args.config)
     if getattr(args, "output_dir", None):
         cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
@@ -162,15 +158,11 @@ def cmd_run_all(args) -> int:
 
 
 def cmd_warmup(args) -> int:
-    from .diffusion import save_checkpoint
-
     cfg = _load_config(args)
     rng, ds, schedule, ledger, params = pipeline.initial_state(cfg)
     params, central = pipeline.run_stage1(cfg, ds, params, ledger, rng, schedule)
     save_checkpoint(args.out, params, schedule)
-    with open(args.ledger_out, "w") as f:
-        json.dump(ledger.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    data_io.write_json(args.ledger_out, ledger.to_dict())
     _print_kv("central_images", 0 if central is None else len(central))
     _print_kv("checkpoint", args.out)
     _print_kv("ledger", args.ledger_out)
@@ -178,18 +170,21 @@ def cmd_warmup(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    from .diffusion import save_checkpoint
-
     cfg = _load_config(args)
     if cfg.central.kind != "none" and not args.ledger:
         raise InvalidArgumentError(
             f"stage one of this config charges {cfg.central.kind} queries; pass their ledger "
             "with --ledger, or sigma_f would be calibrated as if they were free"
         )
-    rng, ds, schedule, ledger, _ = pipeline.initial_state(cfg)
+    rng, ds, schedule, ledger, init = pipeline.initial_state(cfg)
     params, ck_schedule = load_checkpoint(args.checkpoint)
-    if ck_schedule.betas != schedule.betas:
-        schedule = ck_schedule
+    if (ck_schedule.betas, params.manifest) != (schedule.betas, init.manifest):
+        def side(s, p):
+            return f"{s.num_steps} steps, betas {s.betas[0]:.6g}..{s.betas[-1]:.6g}, model {p.manifest.to_dict()}"
+
+        raise InvalidArgumentError(
+            f"checkpoint {args.checkpoint} has {side(ck_schedule, params)}; the config builds {side(schedule, init)}"
+        )
     if args.ledger:
         with open(args.ledger) as f:
             for d in json.load(f)["events"]:
@@ -228,9 +223,7 @@ def cmd_evaluate(args) -> int:
     synth = data_io.load_container(args.synthetic)
     real = data_io.load_container(args.real)
     shape = (real.height, real.width, real.channels)
-    extractor = FeatureExtractor(args.feature, args.feature_dim)
-    if args.feature == "pca":
-        extractor.fit(real.pixels)
+    extractor = FeatureExtractor(args.feature, args.feature_dim).fit(real.pixels)
     fd = frechet_distance(
         extractor.extract(synth.pixels, shape), extractor.extract(real.pixels, shape)
     )

@@ -1,22 +1,28 @@
-"""Bit-exact dataset ingestion and emission.
+"""Bit-exact dataset ingestion and emission, and the one file writer.
 
-Three surfaces: the classic IDX binary pair (big-endian magics 0x00000803
-for image stacks, 0x00000801 for label vectors, unsigned bytes scaled into
-[0, 1] on read), a native container for image sets with provenance (JSON
-header plus little-endian float64 payload, checksummed), and a deterministic
-toy-glyph generator that stands in for real datasets at desk scale.
+Two binary formats: the classic IDX pair (big-endian magics 0x00000803 for
+image stacks, 0x00000801 for label vectors, unsigned bytes scaled into
+[0, 1] on read), and one framed format for image containers and model
+checkpoints (8-byte magic, u32 LE header length, sorted-JSON header carrying
+the payload's sha256, payload). A deterministic toy-glyph generator stands
+in for real datasets at desk scale. Readers reject malformed input with a
+`FormatError` naming the failing byte offset.
 
-Readers reject malformed input with errors that name the failing byte
-offset; no partially parsed dataset ever escapes.
+Every file dpsynth writes goes through `write_file`, which renames a
+finished temporary file over the target: a killed run leaves each file old
+or complete, plus at most a stray `*.tmp` file. There is no fsync, so a
+power loss can still lose a file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,7 +34,7 @@ CONTAINER_MAGIC = b"DPSYNIC1"
 CONTAINER_KINDS = ("sensitive", "central", "synthetic")
 
 
-class FormatError(Exception):
+class FormatError(InvalidArgumentError):
     """Malformed file; `offset` is the byte position of the failure."""
 
     def __init__(self, message: str, offset: int):
@@ -36,8 +42,73 @@ class FormatError(Exception):
         self.offset = offset
 
 
+def write_file(path, *chunks) -> None:
+    """Write the bytes-like `chunks` in order to a temporary file renamed over `path`.
+
+    On failure the temporary file is removed and `path` is left untouched.
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, obj) -> None:
+    """`obj` as sorted, indented JSON plus a newline."""
+    write_file(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
+def write_framed(path, magic: bytes, header: dict, *chunks) -> None:
+    """Magic, u32 LE header length, sorted-JSON header with the payload's sha256, payload chunks.
+
+    The chunks are hashed and written one by one, never joined into one copy.
+    """
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    blob = json.dumps(dict(header, payload_sha256=digest.hexdigest()), sort_keys=True).encode("utf-8")
+    write_file(path, magic, struct.pack("<I", len(blob)), blob, *chunks)
+
+
+def read_framed(path, magic: bytes, payload_size: Callable[[dict], int]) -> tuple[dict, memoryview]:
+    """(header, payload) of a file written by `write_framed`.
+
+    Checks the magic, the header length, the header, that exactly
+    `payload_size(header)` bytes follow it, and the checksum. `payload_size`
+    raises KeyError, TypeError or ValueError when the header gives no size.
+    """
+    with open(path, "rb") as f:
+        data = memoryview(f.read())  # slices of a view copy nothing
+    if _read_exact(data, 0, len(magic), "magic") != magic:
+        raise FormatError(f"bad magic {bytes(data[: len(magic)])!r}, expected {magic!r}", 0)
+    start = len(magic) + 4
+    (hlen,) = struct.unpack("<I", _read_exact(data, len(magic), 4, "header length"))
+    blob = bytes(_read_exact(data, start, hlen, "header"))
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"undecodable header: {exc}", start) from exc
+    try:
+        size = payload_size(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"header gives no payload size: {exc!r}", start) from exc
+    off = start + hlen
+    payload = _read_exact(data, off, size, "payload")
+    if len(data) != off + size:
+        raise FormatError("trailing bytes after payload", off + size)
+    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
+        raise FormatError("payload checksum mismatch", off)
+    return header, payload
+
+
 def _read_exact(data: bytes | memoryview, offset: int, n: int, what: str) -> bytes | memoryview:
-    if offset + n > len(data):
+    if n < 0 or offset + n > len(data):
         raise FormatError(f"truncated while reading {what}: need {n} bytes", offset)
     return data[offset : offset + n]
 
@@ -95,12 +166,8 @@ def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
     pixels = np.rint(ds.pixels * 255.0)
     if pixels.min() < 0 or pixels.max() > 255:
         raise InvalidArgumentError("pixel values outside [0, 1] cannot round-trip through IDX")
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, len(ds), h, w))
-        f.write(pixels.astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(ds)))
-        f.write(ds.labels.astype(np.uint8).tobytes())
+    write_file(images_path, struct.pack(">IIII", IDX_IMAGE_MAGIC, len(ds), h, w), pixels.astype(np.uint8))
+    write_file(labels_path, struct.pack(">II", IDX_LABEL_MAGIC, len(ds)), ds.labels.astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -140,10 +207,7 @@ def save_container(
         raise InvalidArgumentError(f"unknown container kind {kind!r}")
     h, w, c = shape
     pix = np.ascontiguousarray(pixels, dtype="<f8").reshape(-1, h * w * c)
-    label_bytes = b""
-    if labels is not None:
-        label_bytes = np.ascontiguousarray(labels, dtype="<u4").tobytes()
-    payload = label_bytes + pix.tobytes()
+    chunks = [pix] if labels is None else [np.ascontiguousarray(labels, dtype="<u4"), pix]
     header = {
         "version": 1,
         "kind": kind,
@@ -153,39 +217,24 @@ def save_container(
         "count": int(pix.shape[0]),
         "has_labels": labels is not None,
         "provenance": provenance or {},
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CONTAINER_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(payload)
+    write_framed(path, CONTAINER_MAGIC, header, *chunks)
+
+
+def _container_payload_size(header: dict) -> int:
+    count = int(header["count"])
+    pixels = 8 * count * int(header["height"]) * int(header["width"]) * int(header["channels"])
+    return pixels + (4 * count if header["has_labels"] else 0)
 
 
 def load_container(path) -> ContainerFile:
-    with open(path, "rb") as f:
-        data = memoryview(f.read())  # slices of a view copy nothing
-    if _read_exact(data, 0, 8, "container magic") != CONTAINER_MAGIC:
-        raise FormatError(f"bad container magic {bytes(data[:8])!r}", 0)
-    (hlen,) = struct.unpack("<I", _read_exact(data, 8, 4, "header length"))
-    try:
-        header = json.loads(bytes(_read_exact(data, 12, hlen, "header")).decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"undecodable header: {exc}", 12) from exc
-    off = 12 + hlen
+    header, payload = read_framed(path, CONTAINER_MAGIC, _container_payload_size)
     kind = header.get("kind")
     if kind not in CONTAINER_KINDS:
-        raise FormatError(f"unknown container kind {kind!r}", 12)
+        raise FormatError(f"unknown container kind {kind!r}", len(CONTAINER_MAGIC) + 4)
     h, w, c, count = (int(header[k]) for k in ("height", "width", "channels", "count"))
     has_labels = bool(header["has_labels"])
     label_bytes = 4 * count if has_labels else 0
-    pixel_bytes = 8 * count * h * w * c
-    payload = _read_exact(data, off, label_bytes + pixel_bytes, "payload")
-    if len(data) != off + label_bytes + pixel_bytes:
-        raise FormatError("trailing bytes after payload", off + label_bytes + pixel_bytes)
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise FormatError("payload checksum mismatch", off)
     labels = None
     if has_labels:
         labels = np.frombuffer(payload[:label_bytes], dtype="<u4").astype(np.int64)

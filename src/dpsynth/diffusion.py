@@ -22,10 +22,7 @@ vector.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +30,7 @@ import numpy as np
 from scipy.special import expit
 
 from .core import InvalidArgumentError, RngSeed, frozen_copy
+from .data_io import read_framed, write_framed
 
 CHECKPOINT_MAGIC = b"DPSYNCK1"
 
@@ -198,15 +196,15 @@ class DenoiserParams:
         return DenoiserParams(self.manifest, vector)
 
 
-def init_params(manifest: ParamManifest, rng: RngSeed, scale: float = 0.25) -> DenoiserParams:
-    """Fan-in scaled Gaussian weights, zero biases, small label embeddings."""
+def init_params(manifest: ParamManifest, rng: RngSeed) -> DenoiserParams:
+    """Fan-in scaled Gaussian weights, zero biases, label embeddings with std 0.25."""
     gen = rng.generator()
     blocks = []
     for name, shape in manifest.block_shapes().items():
         if name.startswith("b"):
             blocks.append(np.zeros(shape))
         elif name == "emb":
-            blocks.append(scale * gen.standard_normal(shape))
+            blocks.append(0.25 * gen.standard_normal(shape))
         else:
             fan_in = shape[1]
             blocks.append(gen.standard_normal(shape) * math.sqrt(2.0 / fan_in))
@@ -502,7 +500,6 @@ def sample(
     n: int,
     rng: RngSeed,
     labels: Optional[np.ndarray | int] = None,
-    clamp: tuple[float, float] = (0.0, 1.0),
 ) -> np.ndarray:
     """Ancestral sampling: estimate the clean image, re-noise, iterate.
 
@@ -510,7 +507,7 @@ def sample(
     derived stream, one vector per step, so sample i is reproducible
     independent of n. Runs exactly one denoiser evaluation per step per
     image; the final output is the clean estimate from step 1, clamped to
-    the pixel range.
+    the pixel range [0, 1].
     """
     if n < 0:
         raise InvalidArgumentError("sample count must be non-negative")
@@ -546,47 +543,30 @@ def sample(
         if t > 1:
             ab_prev = abars[t - 2]
             x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * draw()
-    return np.clip(x0_hat, clamp[0], clamp[1])
+    return np.clip(x0_hat, 0.0, 1.0)
 
 
 def save_checkpoint(path, params: DenoiserParams, schedule: NoiseSchedule) -> None:
     """Manifest header + float64 little-endian betas and weights, checksummed."""
-    betas = np.asarray(schedule.betas, dtype="<f8")
-    vector = np.asarray(params.vector, dtype="<f8")
-    payload = betas.tobytes() + vector.tobytes()
     header = {
         "version": 1,
         "manifest": params.manifest.to_dict(),
         "num_steps": schedule.num_steps,
         "num_params": params.manifest.num_params,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(payload)
+    betas = np.asarray(schedule.betas, dtype="<f8")
+    write_framed(path, CHECKPOINT_MAGIC, header, betas, np.asarray(params.vector, dtype="<f8"))
+
+
+def _checkpoint_payload_size(header: dict) -> int:
+    ParamManifest.from_dict(header["manifest"])  # a malformed manifest is a format error too
+    return 8 * (int(header["num_steps"]) + int(header["num_params"]))
 
 
 def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
-    with open(path, "rb") as f:
-        data = memoryview(f.read())  # slices of a view copy nothing
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise InvalidArgumentError(f"bad checkpoint magic at byte 0 in {path}")
-    off = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack_from("<I", data, off)
-    off += 4
-    header = json.loads(bytes(data[off : off + hlen]).decode("utf-8"))
-    off += hlen
+    header, payload = read_framed(path, CHECKPOINT_MAGIC, _checkpoint_payload_size)
+    t = 8 * int(header["num_steps"])
+    betas = np.frombuffer(payload[:t], dtype="<f8")
+    vector = np.frombuffer(payload[t:], dtype="<f8")
     manifest = ParamManifest.from_dict(header["manifest"])
-    t = int(header["num_steps"])
-    p = int(header["num_params"])
-    payload = data[off : off + 8 * (t + p)]
-    if len(payload) != 8 * (t + p):
-        raise InvalidArgumentError(f"checkpoint truncated at byte {off + len(payload)}")
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise InvalidArgumentError(f"checkpoint payload checksum mismatch in {path}")
-    betas = np.frombuffer(payload[: 8 * t], dtype="<f8")
-    vector = np.frombuffer(payload[8 * t :], dtype="<f8")
     return DenoiserParams(manifest, vector), NoiseSchedule(tuple(float(b) for b in betas))

@@ -24,6 +24,7 @@ from .diffusion import sample  # noqa: F401  bench/test_bench.py checks that the
 
 EIGENVALUE_TRUNCATION = 1e-10
 REGULARIZATION = 1e-6
+LOSS_CHUNK = 1000  # draws per denoiser batch; the draw order depends on it
 
 
 @dataclass
@@ -149,12 +150,12 @@ def train_probe_classifier(
     synthetic: LabeledDataset,
     real_test: LabeledDataset,
     iterations: int = 400,
-    learning_rate: float = 1.0,
 ) -> float:
     """Holdout accuracy of a softmax probe trained on synthetic pixels.
 
-    Deterministic full-batch gradient descent from zero weights for a fixed
-    iteration count; the probe's role is relative utility ranking only.
+    Deterministic full-batch gradient descent with step size 1 from zero
+    weights for a fixed iteration count; the probe's role is relative
+    utility ranking only.
     """
     if len(synthetic) == 0:
         raise InvalidArgumentError("cannot train a probe on an empty synthetic set")
@@ -177,7 +178,7 @@ def train_probe_classifier(
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
-        w -= learning_rate * x.T @ (p - onehot) / n
+        w -= x.T @ (p - onehot) / n
 
     xt = np.hstack([real_test.pixels, np.ones((len(real_test), 1))])
     pred = np.argmax(xt @ w, axis=1)
@@ -190,13 +191,12 @@ def denoising_loss_estimate(
     ds: LabeledDataset,
     rng: RngSeed,
     draws: int = 10_000,
-    conditional: bool = True,
-    chunk: int = 1000,
 ) -> float:
-    """Monte-Carlo estimate of the noise-prediction objective on a dataset.
+    """Monte-Carlo estimate of the label-conditional noise-prediction objective.
 
     Fixed number of (example, timestep, noise) triples drawn from one seeded
-    stream; the same seed always reproduces the same estimate.
+    stream, LOSS_CHUNK at a time; the same seed always reproduces the same
+    estimate.
     """
     if draws < 1:
         raise InvalidArgumentError("need at least one draw")
@@ -207,14 +207,14 @@ def denoising_loss_estimate(
     labels = ds.labels
     abars = schedule.alpha_bars
     total = 0.0
-    for start in range(0, draws, chunk):
-        b = min(chunk, draws - start)
+    for start in range(0, draws, LOSS_CHUNK):
+        b = min(LOSS_CHUNK, draws - start)
         ex = gen.integers(0, len(ds), size=b)
         ts = gen.integers(1, schedule.num_steps + 1, size=b)
         es = gen.standard_normal((b, pixels.shape[1]))
         ab = abars[ts - 1][:, None]
         x_t = np.sqrt(ab) * pixels[ex] + np.sqrt(1.0 - ab) * es
-        out = denoiser_forward(params, x_t, ts, labels[ex] if conditional else None)
+        out = denoiser_forward(params, x_t, ts, labels[ex])
         total += float(np.sum((out - es) ** 2))
     return total / draws
 

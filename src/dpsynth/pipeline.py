@@ -388,8 +388,7 @@ def run_all(cfg: PipelineConfig) -> str:
     cfg.validate()
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.json"), "w") as f:
-        f.write(cfg.to_json() + "\n")
+    data_io.write_file(os.path.join(out, "config.json"), (cfg.to_json() + "\n").encode("utf-8"))
 
     rng, ds, schedule, ledger, params = initial_state(cfg)
     params, central = run_stage1(cfg, ds, params, ledger, rng, schedule)
@@ -398,9 +397,7 @@ def run_all(cfg: PipelineConfig) -> str:
     if central is not None:
         save_central(os.path.join(out, "central.dpc"), central, shape)
 
-    extractor = FeatureExtractor(cfg.eval.feature_kind, cfg.eval.feature_dim)
-    if cfg.eval.feature_kind == "pca":
-        extractor.fit(ds.pixels)
+    extractor = FeatureExtractor(cfg.eval.feature_kind, cfg.eval.feature_dim).fit(ds.pixels)
     real_feats = extractor.extract(ds.pixels, shape)
     eval_rng = rng.derive(1000)
 
@@ -477,30 +474,10 @@ def run_all(cfg: PipelineConfig) -> str:
         "delta": cfg.privacy.delta,
         "num_events": len(ledger.events),
     }
-    with open(os.path.join(out, "metrics.json"), "w") as f:
-        json.dump(metrics, f, sort_keys=True, indent=2)
-        f.write("\n")
-    with open(os.path.join(out, "ledger.json"), "w") as f:
-        json.dump(ledger.to_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
-    with open(os.path.join(out, "curve.csv"), "w") as f:
-        f.write("step,frechet\n")
-        for step, value in curve_rows:
-            f.write(f"{step},{value:.9g}\n")
-    with open(os.path.join(out, "train_log.txt"), "w") as f:
-        f.write("\n".join(log_lines) + ("\n" if log_lines else ""))
+    data_io.write_json(os.path.join(out, "metrics.json"), metrics)
+    data_io.write_json(os.path.join(out, "ledger.json"), ledger.to_dict())
+    curve = "step,frechet\n" + "".join(f"{step},{value:.9g}\n" for step, value in curve_rows)
+    data_io.write_file(os.path.join(out, "curve.csv"), curve.encode("utf-8"))
+    log = "\n".join(log_lines) + ("\n" if log_lines else "")
+    data_io.write_file(os.path.join(out, "train_log.txt"), log.encode("utf-8"))
     return out
-
-
-def compare_runs(run_a: str, run_b: str, csv_path: str) -> dict:
-    """Side-by-side metric comparison CSV for two finished run directories."""
-    rows = {}
-    for name, run in (("a", run_a), ("b", run_b)):
-        with open(os.path.join(run, "metrics.json")) as f:
-            rows[name] = json.load(f)
-    keys = sorted(set(rows["a"]) | set(rows["b"]))
-    with open(csv_path, "w") as f:
-        f.write("metric,run_a,run_b\n")
-        for k in keys:
-            f.write(f"{k},{rows['a'].get(k)},{rows['b'].get(k)}\n")
-    return rows

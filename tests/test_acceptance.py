@@ -49,7 +49,6 @@ from dpsynth.pipeline import (
     PipelineConfig,
     PrivacyConfig,
     WarmupConfig,
-    compare_runs,
     run_all,
 )
 
@@ -202,6 +201,20 @@ def _warmup_benefit_config(seed: int, out_dir: str, warm: bool) -> PipelineConfi
         ),
         eval=EvalConfig(n_synthetic=250, feature_dim=16, loss_draws=10_000, probe=False),
     )
+
+
+def compare_runs(run_a: str, run_b: str, csv_path: str) -> dict:
+    """Side-by-side metric comparison CSV for two finished run directories."""
+    rows = {}
+    for name, run in (("a", run_a), ("b", run_b)):
+        with open(os.path.join(run, "metrics.json")) as f:
+            rows[name] = json.load(f)
+    keys = sorted(set(rows["a"]) | set(rows["b"]))
+    with open(csv_path, "w") as f:
+        f.write("metric,run_a,run_b\n")
+        for k in keys:
+            f.write(f"{k},{rows['a'].get(k)},{rows['b'].get(k)}\n")
+    return rows
 
 
 @pytest.mark.slow

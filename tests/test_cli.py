@@ -1,11 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from dpsynth import RngSeed
+from dpsynth import FormatError, RngSeed
 from dpsynth.cli import main
-from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, save_checkpoint
+from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, load_checkpoint, save_checkpoint
 from dpsynth.data_io import load_container, save_container
 
 
@@ -57,6 +58,40 @@ class TestMakeToyAndQuery:
         central = load_container(out)
         assert central.kind == "central"
         assert central.provenance["config"]["noise_scale"] == 5.0
+
+
+def _drop_num_params(data: bytes) -> bytes:
+    (hlen,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12 : 12 + hlen])
+    del header["num_params"]
+    blob = json.dumps(header, sort_keys=True).encode()
+    return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + hlen :]
+
+
+# (how the file is damaged, the offset the reader must name)
+MALFORMED_CHECKPOINTS = {
+    "short": (lambda d: d[:10], lambda d: 8),
+    "undecodable_header": (lambda d: d[:12] + b"x" + d[13:], lambda d: 12),
+    "no_num_params": (_drop_num_params, lambda d: 12),
+    "trailing_bytes": (lambda d: d + b"\0", lambda d: len(d)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_is_a_user_error(tmp_path, capsys, damage):
+    corrupt, offset = MALFORMED_CHECKPOINTS[damage]
+    ck = tmp_path / "model.ckpt"
+    save_checkpoint(ck, init_params(ParamManifest(8, 8, 1, hidden1=16, hidden2=16, time_dim=4), RngSeed(1)),
+                    NoiseSchedule.linear(10))
+    data = ck.read_bytes()
+    ck.write_bytes(corrupt(data))
+    with pytest.raises(FormatError) as exc:
+        load_checkpoint(ck)
+    assert exc.value.offset == offset(data)
+    out = tmp_path / "samples.dpc"
+    assert main(["sample", "--checkpoint", str(ck), "--count", "4", "--out", str(out)]) == 1
+    assert f"byte offset {offset(data)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestAccount:
@@ -237,6 +272,31 @@ class TestEndToEndCli:
         assert rc == 0
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["epsilon_spent"]) <= 8.0
+
+    def test_finetune_refuses_a_checkpoint_the_config_did_not_build(self, tmp_path, toy_container, capsys):
+        config = {
+            "seed": 4,
+            "dataset": {"source": "container", "path": str(toy_container)},
+            "central": {"kind": "none"},
+            "model": {"hidden1": 16, "hidden2": 16, "time_dim": 4, "label_dim": 4, "diffusion_steps": 10},
+            "privacy": {"epsilon": 8.0, "delta": 1e-5},
+            "warmup": {"iterations": 4, "batch_size": 8, "learning_rate": 0.01},
+            "finetune": {"steps": 3, "sampling_rate": 0.3, "clip_bound": 0.5, "learning_rate": 0.02},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        ck, ledger = tmp_path / "warm.ckpt", tmp_path / "ledger.json"
+        assert main(["warmup", "--config", str(cfg_path), "--out", str(ck), "--ledger-out", str(ledger)]) == 0
+        capsys.readouterr()
+        final = tmp_path / "final.ckpt"
+        for model, named in (({"diffusion_steps": 12}, "12 steps"), ({"hidden1": 20}, "'hidden1': 20")):
+            cfg_path.write_text(json.dumps(dict(config, model=dict(config["model"], **model))))
+            rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--ledger", str(ledger),
+                       "--out", str(final)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert str(ck) in err and named in err
+            assert not final.exists()
 
     def test_finetune_without_ledger_fails_closed(self, tmp_path, toy_container, capsys):
         config = {

@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from dpsynth import FormatError, RngSeed, generate_toy_glyphs, load_container, read_idx, save_container, write_idx
-from dpsynth.data_io import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
+from dpsynth.data_io import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, write_json
+from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, save_checkpoint
 from dpsynth.metrics import train_probe_classifier
 
 
@@ -140,6 +142,35 @@ class TestContainer:
         assert np.array_equal(loaded.pixels.view(np.uint64), pixels.view(np.uint64))
         assert np.array_equal(loaded.labels, labels)
         assert not loaded.pixels.flags.writeable
+
+
+WRITERS = {
+    "checkpoint": lambda path, seed: save_checkpoint(
+        path, init_params(ParamManifest(4, 4, 1, hidden1=4, hidden2=4, time_dim=2), RngSeed(seed)),
+        NoiseSchedule.linear(5),
+    ),
+    "container": lambda path, seed: save_container(
+        path, "synthetic", np.random.default_rng(seed).random((3, 4)), (2, 2, 1)
+    ),
+    "json": lambda path, seed: write_json(path, {"seed": seed}),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out.bin"
+    WRITERS[writer](path, 1)
+    before = path.read_bytes()
+
+    def replace_fails(src, dst):
+        raise OSError("simulated failure before the rename")
+
+    monkeypatch.setattr(os, "replace", replace_fails)
+    with pytest.raises(OSError, match="simulated"):
+        WRITERS[writer](path, 2)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.bin"]
+
 
 class TestToyGlyphs:
     def test_empty_request(self):
