@@ -8,11 +8,15 @@ composes mechanism events into a cumulative curve, converts the curve to
 budget. All evaluation happens in the log domain: curves routinely mix gamma
 values across twenty orders of magnitude.
 
-Integer orders use the exact binomial expansion of the divergence moment;
-fractional orders use adaptive composite Gauss-Legendre quadrature over the
-real line, refined by node doubling until successive estimates agree. Both
-paths are cross-checked against each other and against an independent
-high-precision oracle in the test suite.
+Integer orders use the exact binomial expansion of the divergence moment
+(Mironov, Talwar & Zhang, arXiv:1908.10530), every order of a grid in one
+vectorized numpy pass whose log-sum-exp arithmetic is our own code, so the
+ledger's last bits do not depend on a scipy release; fractional orders use
+adaptive composite Gauss-Legendre quadrature over the real line, refined by
+node doubling until successive estimates agree. Both paths are cross-checked
+against each other and against an independent high-precision oracle in the
+test suite. Curves are cached per (q, sigma, orders) as read-only float64
+arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .core import BudgetExhaustedError, InvalidArgumentError, NumericError
 
@@ -62,27 +66,53 @@ def _log1p_exp(x: float) -> float:
     return x + math.log1p(math.exp(-x))
 
 
-def _integer_log_moment_minus_one(q: float, sigma: float, alpha: int) -> float:
-    """log(E_{x~p0}[(mix/p0)^alpha] - 1) via the exact binomial expansion.
+@lru_cache(maxsize=16)
+def _binomial_layout(alphas: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Flat layout of every (alpha, k) term, k = 2..alpha, order after order.
+
+    Returns each order's slice bounds, k, alpha - k, the index of k into a
+    2..max(alphas) vector, and log C(alpha, k).
+    """
+    lengths = np.array([a - 1 for a in alphas], dtype=np.int64)
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    a = np.repeat(np.array(alphas, dtype=np.float64), lengths)
+    k = np.concatenate([np.arange(2, n + 1, dtype=np.float64) for n in alphas])
+    log_binom = gammaln(a + 1.0) - gammaln(k + 1.0) - gammaln(a - k + 1.0)
+    return bounds, k, a - k, k.astype(np.int64) - 2, log_binom
+
+
+def _integer_log_moments_minus_one(q: float, sigma: float, alphas: tuple[int, ...]) -> np.ndarray:
+    """log(E_{x~p0}[(mix/p0)^alpha] - 1) at integer orders via the exact binomial expansion.
 
     E[(mix/p0)^alpha] = sum_k C(alpha,k) (1-q)^(alpha-k) q^k
     exp((k^2 - k) / (2 sigma^2)); subtracting the plain binomial identity
     kills the k = 0, 1 terms and leaves a cancellation-free positive sum,
     so tiny divergences keep full relative precision.
+
+    All orders share one flat array of terms. Each order's log-sum-exp
+    repeats scipy 1.17.1's `logsumexp` arithmetic step for step, and sums
+    its own contiguous slice, so every value is bit-identical to a per-order
+    `logsumexp` call (a segmented `np.add.reduceat` adds in another order).
     """
-    ks = np.arange(2, alpha + 1, dtype=np.float64)
+    bounds, k, a_minus_k, k_ix, log_binom = _binomial_layout(alphas)
+    ks = np.arange(2, max(alphas) + 1, dtype=np.float64)
     exponents = (ks * ks - ks) / (2.0 * sigma * sigma)
-    # log(expm1(y)): y for huge y, log(expm1(y)) otherwise
-    log_expm1 = np.where(exponents > 690.0, exponents, np.log(np.expm1(np.minimum(exponents, 690.0))))
-    log_terms = (
-        gammaln(alpha + 1.0)
-        - gammaln(ks + 1.0)
-        - gammaln(alpha - ks + 1.0)
-        + ks * math.log(q)
-        + (alpha - ks) * math.log1p(-q)
-        + log_expm1
-    )
-    return float(logsumexp(log_terms))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log(expm1(y)): y for huge y, log(expm1(y)) otherwise
+        log_expm1 = np.where(exponents > 690.0, exponents, np.log(np.expm1(np.minimum(exponents, 690.0))))
+        terms = log_binom + k * math.log(q) + a_minus_k * math.log1p(-q) + log_expm1[k_ix]
+        # Split each order's maxima off the sum: log1p(sum / count) + log(count) + max.
+        peak = np.maximum.reduceat(terms, bounds[:-1])
+        peak_flat = np.repeat(peak, np.diff(bounds))
+        is_max = terms == peak_flat
+        count = np.add.reduceat(is_max.astype(np.float64), bounds[:-1])
+        shifted = np.exp(np.where(is_max, -np.inf, terms) - peak_flat)
+        s = np.array([shifted[b0:b1].sum() for b0, b1 in zip(bounds[:-1], bounds[1:])])
+        s = np.where(s == 0, s, s / count)
+        out = np.log1p(s) + np.log(count) + peak
+        for i in np.flatnonzero(~np.isfinite(out)):  # direct sum where the shifted one fails
+            out[i] = np.log(np.sum(np.exp(terms[bounds[i] : bounds[i + 1]])))
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -118,21 +148,25 @@ def _fractional_log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.nd
         w = (half[:, None] * weights16[None, :]).reshape(-1)
 
         log_phi = -0.5 * u * u - 0.5 * math.log(2.0 * math.pi)
+        phi = np.exp(log_phi)
         logmix = _log_mix_ratio(u, q, sigma)
 
         log_a = np.empty(len(alphas), dtype=np.float64)
         for i, alpha in enumerate(alphas):
             ratio = alpha * logmix
             log_f = log_phi + ratio
-            peak = float(np.max(log_f))
+            peak = float(log_f.max())
             if peak < _SHIFT_CUT:
-                # exact-precision path for small divergences: integrate A - 1
+                # exact-precision path for small divergences: integrate A - 1,
+                # as phi * expm1(ratio) where that cannot overflow
                 small = ratio <= 30.0
-                term = np.where(
-                    small,
-                    np.exp(log_phi) * np.expm1(np.minimum(ratio, 30.0)),
-                    np.exp(log_f) - np.exp(log_phi),
-                )
+                if small.all():
+                    term = phi * np.expm1(ratio)
+                else:
+                    term = np.empty_like(ratio)
+                    term[small] = phi[small] * np.expm1(ratio[small])
+                    large = ~small
+                    term[large] = np.exp(log_f[large]) - phi[large]
                 a_minus_1 = float(np.dot(w, term))
                 log_a[i] = math.log1p(a_minus_1)
             else:
@@ -157,8 +191,8 @@ def _fractional_log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.nd
 
 
 def _sgm_rdp_integer(q: float, sigma: float, alpha: int) -> float:
-    log_am1 = _integer_log_moment_minus_one(q, sigma, alpha)
-    return _log1p_exp(log_am1) / (alpha - 1.0)
+    """gamma at one integer order by the closed form."""
+    return _log1p_exp(float(_integer_log_moments_minus_one(q, sigma, (alpha,))[0])) / (alpha - 1.0)
 
 
 def sgm_rdp(q: float, sigma: float, alpha: float) -> float:
@@ -166,14 +200,24 @@ def sgm_rdp(q: float, sigma: float, alpha: float) -> float:
     return float(sgm_rdp_curve(float(q), float(sigma), (float(alpha),))[0])
 
 
+@lru_cache(maxsize=16)
+def _split_orders(orders: tuple[float, ...]) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
+    """(positions, values) of the integer orders, then of the fractional ones."""
+    is_int = np.array([float(a).is_integer() for a in orders], dtype=bool)
+    grid = np.array(orders, dtype=np.float64)
+    int_ix, frac_ix = np.flatnonzero(is_int), np.flatnonzero(~is_int)
+    return int_ix, tuple(int(a) for a in grid[int_ix]), frac_ix, grid[frac_ix]
+
+
 @lru_cache(maxsize=4096)
-def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> tuple[float, ...]:
+def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> np.ndarray:
     """gamma(alpha) over a full order grid; the workhorse behind compose().
 
     q = 1 reduces to the analytic Gaussian divergence alpha / (2 sigma^2).
-    Integer orders take the closed-form binomial path; fractional orders are
-    evaluated in one vectorized adaptive quadrature pass, which keeps
-    repeated calibration calls cheap.
+    Integer orders take the closed-form binomial path in one vectorized
+    pass; fractional orders are evaluated in one vectorized adaptive
+    quadrature pass, which keeps repeated calibration calls cheap. The
+    cached result is a read-only float64 array shared by every caller.
     """
     q, sigma = float(q), float(sigma)
     for a in orders:
@@ -181,17 +225,16 @@ def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> tuple[fl
     gammas = np.empty(len(orders), dtype=np.float64)
     if q == 1.0:
         gammas[:] = [a / (2.0 * sigma * sigma) for a in orders]
-        return tuple(gammas)
-    frac_ix = [i for i, a in enumerate(orders) if not float(a).is_integer()]
-    for i, a in enumerate(orders):
-        if float(a).is_integer():
-            gammas[i] = _sgm_rdp_integer(q, sigma, int(a))
-    if frac_ix:
-        alphas = np.array([orders[i] for i in frac_ix], dtype=np.float64)
-        log_a = _fractional_log_moments(q, sigma, alphas)
-        for j, i in enumerate(frac_ix):
-            gammas[i] = max(0.0, log_a[j] / (orders[i] - 1.0))
-    return tuple(gammas)
+    else:
+        int_ix, int_alphas, frac_ix, frac_alphas = _split_orders(orders)
+        if int_alphas:
+            log_am1 = _integer_log_moments_minus_one(q, sigma, int_alphas)
+            gammas[int_ix] = [_log1p_exp(float(x)) / (a - 1.0) for a, x in zip(int_alphas, log_am1)]
+        if len(frac_alphas):
+            g = _fractional_log_moments(q, sigma, frac_alphas) / (frac_alphas - 1.0)
+            gammas[frac_ix] = np.where(g > 0.0, g, 0.0)  # max(0.0, g), NaN included
+    gammas.flags.writeable = False
+    return gammas
 
 
 @dataclass(frozen=True)
@@ -284,7 +327,7 @@ def compose(events: Sequence[MechanismEvent], orders: Sequence[float] | None = N
     total = np.zeros(len(orders), dtype=np.float64)
     partitioned: dict[str, np.ndarray] = {}
     for ev in events:
-        curve = ev.repetitions * np.array(sgm_rdp_curve(ev.q, ev.sigma, orders))
+        curve = ev.repetitions * sgm_rdp_curve(ev.q, ev.sigma, orders)
         if ev.partition is None:
             total += curve
         elif ev.partition in partitioned:
@@ -395,7 +438,7 @@ def calibrate_sigma_f(
     conv = np.array([log_inv_delta / (a - 1.0) for a in orders])
 
     def total_epsilon(sigma: float) -> float:
-        fine = steps * np.array(sgm_rdp_curve(sampling_rate, sigma, orders))
+        fine = steps * sgm_rdp_curve(sampling_rate, sigma, orders)
         return float(np.min(warm_gammas + fine + conv))
 
     if total_epsilon(sigma_hi) > target_epsilon:
@@ -415,7 +458,7 @@ def calibrate_sigma_f(
     conv_int = np.array([log_inv_delta / (a - 1.0) for a in int_orders])
 
     def int_epsilon(sigma: float) -> float:
-        fine = steps * np.array(sgm_rdp_curve(sampling_rate, sigma, int_orders))
+        fine = steps * sgm_rdp_curve(sampling_rate, sigma, int_orders)
         return float(np.min(warm_int_g + fine + conv_int))
 
     lo, hi = sigma_lo, sigma_hi

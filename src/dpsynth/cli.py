@@ -47,12 +47,28 @@ def _print_kv(key: str, value) -> None:
     print(f"{key}={value}")
 
 
+def _parse_json_file(path, what: str, parse):
+    """`parse` of the JSON in `path`; a malformed file is an InvalidArgumentError naming it."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return parse(json.loads(data))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidArgumentError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_spec(raw: dict):
+    fine = raw.get("fine_tune")
+    return (
+        float(raw["target_epsilon"]),
+        float(raw["delta"]),
+        [MechanismEvent.from_dict(d) for d in raw.get("events", [])],
+        (int(fine["steps"]), float(fine["sampling_rate"])) if fine else None,
+    )
+
+
 def cmd_account(args) -> int:
-    with open(args.spec) as f:
-        raw = json.load(f)
-    target = float(raw["target_epsilon"])
-    delta = float(raw["delta"])
-    events = [MechanismEvent.from_dict(d) for d in raw.get("events", [])]
+    target, delta, events, fine = _parse_json_file(args.spec, "privacy spec", _parse_spec)
     curve = compose(events)
     if not args.no_curve:
         for a, g in zip(curve.orders, curve.gammas):
@@ -61,20 +77,11 @@ def cmd_account(args) -> int:
         eps, alpha = rdp_to_dp(curve, delta)
         _print_kv("epsilon", f"{eps:.9g}")
         _print_kv("best_alpha", alpha)
-    fine = raw.get("fine_tune")
     if fine:
-        sigma = calibrate_sigma_f(
-            events, int(fine["steps"]), float(fine["sampling_rate"]), target, delta
-        )
+        steps, rate = fine
+        sigma = calibrate_sigma_f(events, steps, rate, target, delta)
         _print_kv("sigma_f", f"{sigma:.9g}")
-        total = events + [
-            MechanismEvent(
-                "dpsgd_step",
-                q=float(fine["sampling_rate"]),
-                sigma=sigma,
-                repetitions=int(fine["steps"]),
-            )
-        ]
+        total = events + [MechanismEvent("dpsgd_step", q=rate, sigma=sigma, repetitions=steps)]
         eps_total, alpha_total = rdp_to_dp(compose(total), delta)
         _print_kv("epsilon_total", f"{eps_total:.9g}")
         _print_kv("best_alpha_total", alpha_total)
@@ -176,6 +183,11 @@ def cmd_finetune(args) -> int:
             f"stage one of this config charges {cfg.central.kind} queries; pass their ledger "
             "with --ledger, or sigma_f would be calibrated as if they were free"
         )
+    stage1_events = []
+    if args.ledger:
+        stage1_events = _parse_json_file(
+            args.ledger, "ledger", lambda raw: [MechanismEvent.from_dict(d) for d in raw["events"]]
+        )
     rng, ds, schedule, ledger, init = pipeline.initial_state(cfg)
     params, ck_schedule = load_checkpoint(args.checkpoint)
     if (ck_schedule.betas, params.manifest) != (schedule.betas, init.manifest):
@@ -185,10 +197,7 @@ def cmd_finetune(args) -> int:
         raise InvalidArgumentError(
             f"checkpoint {args.checkpoint} has {side(ck_schedule, params)}; the config builds {side(schedule, init)}"
         )
-    if args.ledger:
-        with open(args.ledger) as f:
-            for d in json.load(f)["events"]:
-                ledger.record(MechanismEvent.from_dict(d))
+    ledger.record(*stage1_events)
     params, sigma_f = pipeline.run_stage2(cfg, ds, params, ledger, rng, schedule)
     save_checkpoint(args.out, params, schedule)
     eps, alpha = ledger.epsilon()

@@ -4,7 +4,7 @@ Two binary formats: the classic IDX pair (big-endian magics 0x00000803 for
 image stacks, 0x00000801 for label vectors, unsigned bytes scaled into
 [0, 1] on read), and one framed format for image containers and model
 checkpoints (8-byte magic, u32 LE header length, sorted-JSON header carrying
-the payload's sha256, payload). A deterministic toy-glyph generator stands
+its version and the payload's sha256, payload). A deterministic toy-glyph generator stands
 in for real datasets at desk scale. Readers reject malformed input with a
 `FormatError` naming the failing byte offset.
 
@@ -32,6 +32,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CONTAINER_MAGIC = b"DPSYNIC1"
 CONTAINER_KINDS = ("sensitive", "central", "synthetic")
+FRAMED_VERSION = 1  # the only header version `read_framed` accepts
 
 
 class FormatError(InvalidArgumentError):
@@ -65,21 +66,22 @@ def write_json(path, obj) -> None:
 
 
 def write_framed(path, magic: bytes, header: dict, *chunks) -> None:
-    """Magic, u32 LE header length, sorted-JSON header with the payload's sha256, payload chunks.
+    """Magic, u32 LE header length, sorted-JSON header plus version and payload sha256, payload chunks.
 
     The chunks are hashed and written one by one, never joined into one copy.
     """
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
-    blob = json.dumps(dict(header, payload_sha256=digest.hexdigest()), sort_keys=True).encode("utf-8")
+    header = dict(header, version=FRAMED_VERSION, payload_sha256=digest.hexdigest())
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     write_file(path, magic, struct.pack("<I", len(blob)), blob, *chunks)
 
 
 def read_framed(path, magic: bytes, payload_size: Callable[[dict], int]) -> tuple[dict, memoryview]:
     """(header, payload) of a file written by `write_framed`.
 
-    Checks the magic, the header length, the header, that exactly
+    Checks the magic, the header length, the header and its version, that exactly
     `payload_size(header)` bytes follow it, and the checksum. `payload_size`
     raises KeyError, TypeError or ValueError when the header gives no size.
     """
@@ -94,6 +96,9 @@ def read_framed(path, magic: bytes, payload_size: Callable[[dict], int]) -> tupl
         header = json.loads(blob.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise FormatError(f"undecodable header: {exc}", start) from exc
+    version = header.get("version") if isinstance(header, dict) else None
+    if type(version) is not int or version != FRAMED_VERSION:
+        raise FormatError(f"unsupported header version {version!r}, expected {FRAMED_VERSION}", start)
     try:
         size = payload_size(header)
     except (KeyError, TypeError, ValueError) as exc:
@@ -209,7 +214,6 @@ def save_container(
     pix = np.ascontiguousarray(pixels, dtype="<f8").reshape(-1, h * w * c)
     chunks = [pix] if labels is None else [np.ascontiguousarray(labels, dtype="<u4"), pix]
     header = {
-        "version": 1,
         "kind": kind,
         "height": h,
         "width": w,

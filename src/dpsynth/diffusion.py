@@ -549,7 +549,6 @@ def sample(
 def save_checkpoint(path, params: DenoiserParams, schedule: NoiseSchedule) -> None:
     """Manifest header + float64 little-endian betas and weights, checksummed."""
     header = {
-        "version": 1,
         "manifest": params.manifest.to_dict(),
         "num_steps": schedule.num_steps,
         "num_params": params.manifest.num_params,

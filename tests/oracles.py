@@ -5,6 +5,10 @@ mpmath arbitrary-precision quadrature instead of the closed form / vectorized
 float64 quadrature, gradients come from central finite differences, and
 statistics come from first principles. Keep it that way; a shared code path
 would turn the checks into tautologies.
+
+One oracle is a frozen reference instead: `integer_log_moment_minus_one` is
+the accountant's former per-order closed form, kept verbatim so the
+vectorized kernel that replaced it can be held to bit-identity.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 
 def sgm_rdp_oracle(q: float, sigma: float, alpha: float, dps: int = 40) -> float:
@@ -37,6 +42,28 @@ def sgm_rdp_oracle(q: float, sigma: float, alpha: float, dps: int = 40) -> float
         a_val = mp.quad(integrand, [-mp.inf, 0, am, mp.inf])
         gamma = mp.log(a_val) / (am - 1)
         return float(gamma)
+
+
+def integer_log_moment_minus_one(q: float, sigma: float, alpha: int) -> float:
+    """log(E_{x~p0}[(mix/p0)^alpha] - 1) at one integer order, one scipy `logsumexp`.
+
+    The binomial expansion sum_{k>=2} C(alpha,k) (1-q)^(alpha-k) q^k
+    expm1((k^2 - k) / (2 sigma^2)), exactly as the accountant computed it
+    order by order before its kernel was vectorized.
+    """
+    ks = np.arange(2, alpha + 1, dtype=np.float64)
+    exponents = (ks * ks - ks) / (2.0 * sigma * sigma)
+    # log(expm1(y)): y for huge y, log(expm1(y)) otherwise
+    log_expm1 = np.where(exponents > 690.0, exponents, np.log(np.expm1(np.minimum(exponents, 690.0))))
+    log_terms = (
+        gammaln(alpha + 1.0)
+        - gammaln(ks + 1.0)
+        - gammaln(alpha - ks + 1.0)
+        + ks * math.log(q)
+        + (alpha - ks) * math.log1p(-q)
+        + log_expm1
+    )
+    return float(logsumexp(log_terms))
 
 
 def rdp_to_dp_oracle(gamma: float, alpha: float, delta: float) -> float:

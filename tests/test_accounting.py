@@ -5,6 +5,8 @@ import pytest
 
 from dpsynth import BudgetExhaustedError, InvalidArgumentError, MechanismEvent, PrivacySpec, RdpCurve
 from dpsynth.accounting import (
+    _integer_log_moments_minus_one,
+    _log1p_exp,
     _sgm_rdp_integer,
     _fractional_log_moments,
     calibrate_sigma_f,
@@ -15,7 +17,7 @@ from dpsynth.accounting import (
     sgm_rdp_curve,
 )
 
-from oracles import sgm_rdp_oracle
+from oracles import integer_log_moment_minus_one, sgm_rdp_oracle
 
 # Frozen from the mpmath quadrature oracle (tests/oracles.py, dps=40),
 # computed before wiring up this test.
@@ -77,6 +79,75 @@ class TestSgmRdp:
         curve = sgm_rdp_curve(0.05, 3.0, orders)
         for a, g in zip(orders, curve):
             assert g == pytest.approx(sgm_rdp(0.05, 3.0, a), rel=1e-12)
+
+
+def _old_curve(q, sigma, orders):
+    """gamma over `orders` order by order: the frozen scipy-`logsumexp` kernel at integer
+    orders, the quadrature at fractional ones, the analytic form at q = 1."""
+    if q == 1.0:
+        return [a / (2.0 * sigma * sigma) for a in orders]
+    frac = np.array([a for a in orders if not float(a).is_integer()])
+    frac_gammas = iter(_fractional_log_moments(q, sigma, frac) / (frac - 1.0) if len(frac) else ())
+    return [
+        _log1p_exp(integer_log_moment_minus_one(q, sigma, int(a))) / (a - 1.0)
+        if float(a).is_integer()
+        else max(0.0, next(frac_gammas))
+        for a in orders
+    ]
+
+
+class TestIntegerPassBitIdentity:
+    """The one-pass integer kernel reproduces the per-order scipy `logsumexp` kernel bit for bit."""
+
+    PAIRS = 2000
+    DEFAULT_INTEGERS = tuple(int(a) for a in default_orders() if float(a).is_integer())
+
+    @staticmethod
+    def pairs(seed, n):
+        gen = np.random.default_rng(seed)
+        q = np.exp(gen.uniform(math.log(5e-4), math.log(0.9), n))
+        sigma = np.exp(gen.uniform(math.log(0.02), math.log(500.0), n))
+        return [(float(a), float(b)) for a, b in zip(q, sigma)]
+
+    def test_random_pairs_on_every_grid(self):
+        grids = [(2.0,), (64.0,), tuple(float(a) for a in range(2, 129))]
+        for i, (q, sigma) in enumerate(self.pairs(71, self.PAIRS)):
+            for j, orders in enumerate(grids):
+                if j == 2 and i % 40:  # the 2..128 grid on every 40th pair
+                    continue
+                assert sgm_rdp_curve(q, sigma, orders).tolist() == _old_curve(q, sigma, orders), (q, sigma, orders)
+            if i % 10 == 0:  # the default grid's integer orders on every 10th pair
+                old = [integer_log_moment_minus_one(q, sigma, a) for a in self.DEFAULT_INTEGERS]
+                assert _integer_log_moments_minus_one(q, sigma, self.DEFAULT_INTEGERS).tolist() == old, (q, sigma)
+
+    def test_default_grid_full_curves(self):
+        orders = default_orders()
+        for q, sigma in self.pairs(72, 10):
+            sigma = max(sigma, 0.5)  # the quadrature's cost grows as 1/sigma
+            assert sgm_rdp_curve(q, sigma, orders).tolist() == _old_curve(q, sigma, orders), (q, sigma)
+
+    def test_grid_without_integer_orders_and_full_sampling(self):
+        fractional = (1.25, 2.5, 7.75, 31.5)
+        for q, sigma in self.pairs(73, 20):
+            sigma = max(sigma, 0.5)
+            assert sgm_rdp_curve(q, sigma, fractional).tolist() == _old_curve(q, sigma, fractional)
+            for orders in (default_orders(), (2.0,), fractional):
+                assert sgm_rdp_curve(1.0, sigma, orders).tolist() == _old_curve(1.0, sigma, orders)
+
+    def test_underflowing_exponents_take_the_direct_sum(self):
+        # 2 sigma^2 overflows, every exponent is 0, every term is -inf: scipy's fallback path.
+        with np.errstate(divide="ignore"):
+            old = [integer_log_moment_minus_one(0.1, 1e200, a) for a in (2, 3, 64)]
+        assert _integer_log_moments_minus_one(0.1, 1e200, (2, 3, 64)).tolist() == old == [-math.inf] * 3
+
+    def test_cached_curve_is_read_only(self):
+        curve = sgm_rdp_curve(0.05, 3.0, default_orders())
+        assert curve.dtype == np.float64 and not curve.flags.writeable
+        with pytest.raises(ValueError):
+            curve[0] = 1.0
+        with pytest.raises(ValueError):
+            curve *= 2.0
+        assert sgm_rdp_curve(0.05, 3.0, default_orders()) is curve
 
 
 class TestCompose:

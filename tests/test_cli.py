@@ -145,6 +145,24 @@ class TestAccount:
         assert "gamma[" not in capsys.readouterr().out
 
 
+MALFORMED_SPECS = {
+    "truncated": '{"events": [',
+    "no_target": '{"delta": 1e-05, "events": []}',
+    "text_rate": '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": "x", "sigma": 5.0}]}',
+    "not_an_object": "[1, 2]",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_SPECS))
+def test_malformed_spec_is_a_user_error(tmp_path, capsys, damage):
+    path = tmp_path / "spec.json"
+    path.write_text(MALFORMED_SPECS[damage])
+    assert main(["account", "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"malformed privacy spec {path}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestIngestRoundTrip:
     def test_idx_ingest(self, tmp_path, capsys):
         import struct
@@ -296,6 +314,32 @@ class TestEndToEndCli:
             err = capsys.readouterr().err
             assert rc == 1
             assert str(ck) in err and named in err
+            assert not final.exists()
+
+    def test_malformed_ledger_is_a_user_error(self, tmp_path, toy_container, capsys):
+        config = {
+            "seed": 4,
+            "dataset": {"source": "container", "path": str(toy_container)},
+            "central": {"kind": "mean", "count": 6, "sampling_rate": 0.2, "noise_scale": 5.0},
+            "model": {"hidden1": 16, "hidden2": 16, "time_dim": 4, "label_dim": 4, "diffusion_steps": 10},
+            "privacy": {"epsilon": 8.0, "delta": 1e-5},
+            "warmup": {"iterations": 4, "batch_size": 8, "learning_rate": 0.01},
+            "finetune": {"steps": 3, "sampling_rate": 0.3, "clip_bound": 0.5, "learning_rate": 0.02},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        ck, ledger = tmp_path / "warm.ckpt", tmp_path / "ledger.json"
+        assert main(["warmup", "--config", str(cfg_path), "--out", str(ck), "--ledger-out", str(ledger)]) == 0
+        capsys.readouterr()
+        text = ledger.read_text()
+        final = tmp_path / "final.ckpt"
+        for damaged in (text[: text.index("[") + 1], '{"sigma_f": null}', text.replace('"q": 0.2', '"q": "x"')):
+            ledger.write_text(damaged)
+            rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--ledger", str(ledger),
+                       "--out", str(final)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert f"malformed ledger {ledger}" in err and "Traceback" not in err
             assert not final.exists()
 
     def test_finetune_without_ledger_fails_closed(self, tmp_path, toy_container, capsys):

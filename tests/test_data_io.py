@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import tracemalloc
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from dpsynth import FormatError, RngSeed, generate_toy_glyphs, load_container, read_idx, save_container, write_idx
+from dpsynth.cli import main
 from dpsynth.data_io import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, write_json
-from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, save_checkpoint
+from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, load_checkpoint, save_checkpoint
 from dpsynth.metrics import train_probe_classifier
 
 
@@ -170,6 +172,44 @@ def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, writer):
         WRITERS[writer](path, 2)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def _set_version(data: bytes, version) -> bytes:
+    """The framed file `data` with its header's version replaced, or removed when None."""
+    (hlen,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12 : 12 + hlen])
+    del header["version"]
+    if version is not None:
+        header["version"] = version
+    blob = json.dumps(header, sort_keys=True).encode()
+    return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + hlen :]
+
+
+class TestFramedVersion:
+    """Only version-1 headers load; anything else fails at the header (byte offset 12)."""
+
+    @pytest.mark.parametrize("version", [99, None, 2, "1", 1.0, True])
+    def test_container(self, tmp_path, version):
+        path = tmp_path / "v.dpc"
+        save_container(path, "sensitive", np.zeros((2, 4)), (2, 2, 1))
+        path.write_bytes(_set_version(path.read_bytes(), version))
+        with pytest.raises(FormatError, match="unsupported header version") as exc:
+            load_container(path)
+        assert exc.value.offset == 12
+
+    @pytest.mark.parametrize("version", [99, None])
+    def test_checkpoint(self, tmp_path, capsys, version):
+        ck = tmp_path / "model.ckpt"
+        manifest = ParamManifest(8, 8, 1, hidden1=16, hidden2=16, time_dim=4)
+        save_checkpoint(ck, init_params(manifest, RngSeed(1)), NoiseSchedule.linear(10))
+        ck.write_bytes(_set_version(ck.read_bytes(), version))
+        with pytest.raises(FormatError, match="unsupported header version") as exc:
+            load_checkpoint(ck)
+        assert exc.value.offset == 12
+        out = tmp_path / "samples.dpc"
+        assert main(["sample", "--checkpoint", str(ck), "--count", "4", "--out", str(out)]) == 1
+        assert "unsupported header version" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestToyGlyphs:
