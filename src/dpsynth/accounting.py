@@ -433,14 +433,15 @@ def calibrate_sigma_f(
     if steps == 0:
         return sigma_lo
 
-    warm_gammas = np.array(warm_curve.gammas)
     log_inv_delta = math.log(1.0 / delta)
-    conv = np.array([log_inv_delta / (a - 1.0) for a in orders])
 
-    def total_epsilon(sigma: float) -> float:
-        fine = steps * sgm_rdp_curve(sampling_rate, sigma, orders)
-        return float(np.min(warm_gammas + fine + conv))
+    def epsilon_on(grid: tuple[float, ...], warm: RdpCurve):
+        """Total epsilon on `grid` as a function of the fine-tuning noise scale."""
+        warm_gammas = np.array(warm.gammas)
+        conv = np.array([log_inv_delta / (a - 1.0) for a in grid])
+        return lambda sigma: float(np.min(warm_gammas + steps * sgm_rdp_curve(sampling_rate, sigma, grid) + conv))
 
+    total_epsilon = epsilon_on(orders, warm_curve)
     if total_epsilon(sigma_hi) > target_epsilon:
         raise BudgetExhaustedError(
             f"even noise scale {sigma_hi} leaves epsilon above target {target_epsilon:.6g} "
@@ -453,13 +454,7 @@ def calibrate_sigma_f(
     # upper bracket, and probing small sigmas (where the fractional
     # quadrature gets expensive) is avoided entirely.
     int_orders = tuple(a for a in orders if float(a).is_integer()) or orders
-    warm_int = compose(query_events, int_orders)
-    warm_int_g = np.array(warm_int.gammas)
-    conv_int = np.array([log_inv_delta / (a - 1.0) for a in int_orders])
-
-    def int_epsilon(sigma: float) -> float:
-        fine = steps * sgm_rdp_curve(sampling_rate, sigma, int_orders)
-        return float(np.min(warm_int_g + fine + conv_int))
+    int_epsilon = epsilon_on(int_orders, compose(query_events, int_orders))
 
     lo, hi = sigma_lo, sigma_hi
     for _ in range(80):

@@ -15,8 +15,6 @@ import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from . import data_io, pipeline
 from .accounting import (
     BudgetExhaustedError,
@@ -25,14 +23,9 @@ from .accounting import (
     compose,
     rdp_to_dp,
 )
-from .core import InvalidArgumentError, LabeledDataset, RngSeed
-from .diffusion import load_checkpoint, sample, save_checkpoint
-from .metrics import (
-    FeatureExtractor,
-    denoising_loss_estimate,
-    frechet_distance,
-    train_probe_classifier,
-)
+from .core import InvalidArgumentError, RngSeed
+from .diffusion import load_checkpoint, save_checkpoint
+from .metrics import denoising_loss_estimate, train_probe_classifier
 from .pipeline import ConfigError, PipelineConfig
 
 USER_ERRORS = (
@@ -93,14 +86,7 @@ def cmd_account(args) -> int:
 def cmd_ingest(args) -> int:
     ds = data_io.read_idx(args.images, args.labels)
     h, w, c = ds.image_shape
-    data_io.save_container(
-        args.out,
-        "sensitive",
-        ds.pixels,
-        ds.image_shape,
-        labels=ds.labels,
-        provenance={"source": "idx", "images": str(args.images), "labels": str(args.labels)},
-    )
+    pipeline.save_sensitive(args.out, ds, {"source": "idx", "images": str(args.images), "labels": str(args.labels)})
     _print_kv("count", len(ds))
     _print_kv("shape", f"{h}x{w}x{c}")
     _print_kv("num_classes", ds.num_classes)
@@ -112,14 +98,7 @@ def cmd_make_toy(args) -> int:
     ds = data_io.generate_toy_glyphs(
         args.per_class, args.classes, (args.size, args.size, 1), RngSeed(args.seed)
     )
-    data_io.save_container(
-        args.out,
-        "sensitive",
-        ds.pixels,
-        ds.image_shape,
-        labels=ds.labels,
-        provenance={"source": "toy", "per_class": args.per_class, "seed": args.seed},
-    )
+    pipeline.save_sensitive(args.out, ds, {"source": "toy", "per_class": args.per_class, "seed": args.seed})
     _print_kv("count", len(ds))
     _print_kv("out", args.out)
     return 0
@@ -127,16 +106,8 @@ def cmd_make_toy(args) -> int:
 
 def cmd_query_central(args) -> int:
     ds = data_io.load_container(args.data).to_dataset()
-    ccfg = pipeline.CentralConfig(
-        kind=args.kind,
-        count=args.count,
-        sampling_rate=args.sampling_rate,
-        noise_scale=args.noise_scale,
-        norm_bound=args.norm_bound,
-        bins=args.bins,
-        per_label=args.per_label,
-        parallel_accounting=args.parallel_accounting,
-    )
+    # Every query option has the name of its CentralConfig field.
+    ccfg = pipeline.CentralConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(pipeline.CentralConfig)})
     central = pipeline.query_central(ccfg, ds, RngSeed(args.seed).derive(1))
     pipeline.save_central(args.out, central, ds.image_shape)
     if args.events_out:
@@ -166,10 +137,9 @@ def cmd_run_all(args) -> int:
 
 def cmd_warmup(args) -> int:
     cfg = _load_config(args)
-    rng, ds, schedule, ledger, params = pipeline.initial_state(cfg)
-    params, central = pipeline.run_stage1(cfg, ds, params, ledger, rng, schedule)
-    save_checkpoint(args.out, params, schedule)
-    data_io.write_json(args.ledger_out, ledger.to_dict())
+    state, central = pipeline.run_stage1(cfg, pipeline.initial_state(cfg))
+    save_checkpoint(args.out, state.params, state.schedule)
+    data_io.write_json(args.ledger_out, state.ledger.to_dict())
     _print_kv("central_images", 0 if central is None else len(central))
     _print_kv("checkpoint", args.out)
     _print_kv("ledger", args.ledger_out)
@@ -188,19 +158,10 @@ def cmd_finetune(args) -> int:
         stage1_events = _parse_json_file(
             args.ledger, "ledger", lambda raw: [MechanismEvent.from_dict(d) for d in raw["events"]]
         )
-    rng, ds, schedule, ledger, init = pipeline.initial_state(cfg)
-    params, ck_schedule = load_checkpoint(args.checkpoint)
-    if (ck_schedule.betas, params.manifest) != (schedule.betas, init.manifest):
-        def side(s, p):
-            return f"{s.num_steps} steps, betas {s.betas[0]:.6g}..{s.betas[-1]:.6g}, model {p.manifest.to_dict()}"
-
-        raise InvalidArgumentError(
-            f"checkpoint {args.checkpoint} has {side(ck_schedule, params)}; the config builds {side(schedule, init)}"
-        )
-    ledger.record(*stage1_events)
-    params, sigma_f = pipeline.run_stage2(cfg, ds, params, ledger, rng, schedule)
-    save_checkpoint(args.out, params, schedule)
-    eps, alpha = ledger.epsilon()
+    state = pipeline.state_from_checkpoint(cfg, args.checkpoint, stage1_events)
+    state, sigma_f = pipeline.run_stage2(cfg, state)
+    save_checkpoint(args.out, state.params, state.schedule)
+    eps, alpha = state.ledger.epsilon()
     _print_kv("sigma_f", f"{sigma_f:.9g}")
     _print_kv("epsilon_spent", f"{eps:.9g}")
     _print_kv("best_alpha", alpha)
@@ -210,18 +171,9 @@ def cmd_finetune(args) -> int:
 
 def cmd_sample(args) -> int:
     params, schedule = load_checkpoint(args.checkpoint)
-    m = params.manifest
-    labels = None
-    if args.conditional:
-        labels = np.arange(args.count, dtype=np.int64) % m.num_classes
-    pixels = sample(params, schedule, args.count, RngSeed(args.seed), labels=labels)
-    data_io.save_container(
-        args.out,
-        "synthetic",
-        pixels,
-        (m.height, m.width, m.channels),
-        labels=labels,
-        provenance={"checkpoint": str(args.checkpoint), "seed": args.seed},
+    pipeline.sample_stage(
+        params, schedule, args.count, RngSeed(args.seed), conditional=args.conditional,
+        out=args.out, provenance={"checkpoint": str(args.checkpoint), "seed": args.seed},
     )
     _print_kv("count", args.count)
     _print_kv("out", args.out)
@@ -231,12 +183,8 @@ def cmd_sample(args) -> int:
 def cmd_evaluate(args) -> int:
     synth = data_io.load_container(args.synthetic)
     real = data_io.load_container(args.real)
-    shape = (real.height, real.width, real.channels)
-    extractor = FeatureExtractor(args.feature, args.feature_dim).fit(real.pixels)
-    fd = frechet_distance(
-        extractor.extract(synth.pixels, shape), extractor.extract(real.pixels, shape)
-    )
-    _print_kv("frechet", f"{fd:.9g}")
+    frechet = pipeline.fit_frechet(real.pixels, (real.height, real.width, real.channels), args.feature, args.feature_dim)
+    _print_kv("frechet", f"{frechet(synth.pixels):.9g}")
     _print_kv("n_real", real.count)
     _print_kv("n_synth", synth.count)
     probe = synth.labels is not None and real.labels is not None
@@ -249,13 +197,14 @@ def cmd_evaluate(args) -> int:
         real_ds = real.to_dataset(num_classes)
     # The probe trains on a worker thread while this one loads the checkpoint
     # and estimates the loss; numpy's BLAS and ufunc kernels release the GIL.
+    # Its training set is built here: memory freed on the worker stays in that
+    # thread's malloc arena, where the loss's temporaries cannot reuse it.
     # A probe error is raised in place of a loss error; a lone loss error
     # is raised after acc is printed.
     with ThreadPoolExecutor(max_workers=1) as pool:
         acc = None
         if probe:
-            synth_ds = LabeledDataset(np.clip(synth.pixels, 0, 1), synth.labels, real_ds.num_classes, shape)
-            acc = pool.submit(train_probe_classifier, synth_ds, real_ds)
+            acc = pool.submit(train_probe_classifier, pipeline.probe_set(synth.pixels, synth.labels, real_ds), real_ds)
         try:
             if args.checkpoint:
                 params, schedule = load_checkpoint(args.checkpoint)

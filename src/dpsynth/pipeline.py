@@ -1,14 +1,17 @@
-"""End-to-end two-stage driver.
+"""The two-stage recipe as stage functions: `run_all` runs them in order, the stage CLI one at a time.
 
-Stage one queries noisy central images (mean or mode) and pre-trains the
-denoiser on them with augmentation; only the queries consume privacy budget,
-the pre-training itself is post-processing. Stage two calibrates the
-fine-tuning noise scale against the remaining budget and runs DP-SGD on the
-sensitive images. The driver then samples the model, evaluates fidelity and
-utility proxies, and writes a self-describing, re-playable run directory
-(config snapshot, ledger, checkpoints, samples, metrics, per-checkpoint
-fidelity curve, training log). No artifact embeds wall-clock state, so a
-rerun from the snapshot reproduces every byte.
+Each stage takes the `RunState` (root stream, dataset, schedule, ledger,
+weights) that the one before returned. `run_stage1` queries noisy central
+images (mean or mode), charges them to the ledger and pre-trains the
+denoiser on them with augmentation, which is post-processing and charges
+nothing; `state_from_checkpoint` rebuilds its result from disk. `run_stage2`
+calibrates the fine-tuning noise scale against the remaining budget and runs
+DP-SGD on the sensitive images. `sample_stage` draws class-balanced samples;
+`fit_frechet` and `probe_set` prepare their scoring. `run_all` also writes a
+self-describing, re-playable run directory (config snapshot, ledger,
+checkpoints, samples, metrics, per-checkpoint fidelity curve, training log).
+No artifact embeds wall-clock state, so a rerun from the snapshot reproduces
+every byte.
 """
 
 from __future__ import annotations
@@ -18,20 +21,21 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import data_io
-from .accounting import PrivacySpec, calibrate_sigma_f
+from .accounting import MechanismEvent, PrivacySpec, calibrate_sigma_f
 from .augment import apply_chain, default_bag
 from .central import CentralImageSet, MeanQueryConfig, ModeQueryConfig, query_central_set
-from .core import LabeledDataset, RngSeed
+from .core import InvalidArgumentError, LabeledDataset, RngSeed
 from .diffusion import (
     DenoiserParams,
     NoiseSchedule,
     ParamManifest,
     init_params,
+    load_checkpoint,
     loss_and_weighted_grad_sum,
     sample,
     save_checkpoint,
@@ -135,15 +139,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        sections = {
-            "dataset": DatasetConfig,
-            "central": CentralConfig,
-            "model": ModelConfig,
-            "privacy": PrivacyConfig,
-            "warmup": WarmupConfig,
-            "finetune": FinetuneConfig,
-            "eval": EvalConfig,
-        }
+        # The sections are the fields whose default factory is their config class.
+        sections = {f.name: f.default_factory for f in dataclasses.fields(cls) if callable(f.default_factory)}
         kwargs: dict = {}
         for key, value in raw.items():
             if key in sections:
@@ -192,9 +189,21 @@ class PipelineConfig:
             ("warmup.iterations", self.warmup.iterations),
             ("finetune.steps", self.finetune.steps),
             ("eval.n_synthetic", self.eval.n_synthetic),
+            ("finetune.checkpoint_every", self.finetune.checkpoint_every),
         ):
             if v < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        for name, v in (
+            ("warmup.batch_size", self.warmup.batch_size),
+            ("warmup.augment_k", self.warmup.augment_k),
+            ("warmup.noise_multiplicity", self.warmup.noise_multiplicity),
+            ("finetune.noise_multiplicity", self.finetune.noise_multiplicity),
+            ("finetune.clip_bound", self.finetune.clip_bound),
+            ("finetune.learning_rate", self.finetune.learning_rate),
+            ("eval.loss_draws", self.eval.loss_draws),
+        ):
+            if not v > 0:
+                raise ConfigError(f"{name} must be positive")
         if not (0 < self.finetune.sampling_rate <= 1):
             raise ConfigError("finetune.sampling_rate must be in (0, 1]")
         if self.central.kind != "none" and not (0 < self.central.sampling_rate <= 1):
@@ -246,15 +255,43 @@ def query_central(cfg: CentralConfig, ds: LabeledDataset, rng: RngSeed) -> Centr
     )
 
 
-def initial_state(
-    cfg: PipelineConfig,
-) -> tuple[RngSeed, LabeledDataset, NoiseSchedule, PrivacySpec, DenoiserParams]:
+@dataclass(frozen=True)
+class RunState:
+    """What one stage hands the next: root stream, data, schedule, ledger and current weights."""
+
+    rng: RngSeed
+    ds: LabeledDataset
+    schedule: NoiseSchedule
+    ledger: PrivacySpec
+    params: DenoiserParams
+
+
+def initial_state(cfg: PipelineConfig) -> RunState:
     """A run's starting point: root stream, dataset, schedule, empty ledger, initial params."""
     rng = RngSeed(cfg.seed)
     ds = load_dataset(cfg.dataset, rng.derive(0))
     params = init_params(build_manifest(cfg.model, ds.image_shape, ds.num_classes), rng.derive(10))
     ledger = PrivacySpec(cfg.privacy.epsilon, cfg.privacy.delta)
-    return rng, ds, build_schedule(cfg.model), ledger, params
+    return RunState(rng, ds, build_schedule(cfg.model), ledger, params)
+
+
+def state_from_checkpoint(cfg: PipelineConfig, path, stage1_events: list[MechanismEvent]) -> RunState:
+    """The state stage one left on disk: its checkpoint, with its charged events in the ledger."""
+    state = initial_state(cfg)
+    params, schedule = load_checkpoint(path)
+    if (schedule.betas, params.manifest) != (state.schedule.betas, state.params.manifest):
+        def side(s, p):
+            return f"{s.num_steps} steps, betas {s.betas[0]:.6g}..{s.betas[-1]:.6g}, model {p.manifest.to_dict()}"
+
+        raise InvalidArgumentError(
+            f"checkpoint {path} has {side(schedule, params)}; the config builds {side(state.schedule, state.params)}"
+        )
+    state.ledger.record(*stage1_events)
+    return dataclasses.replace(state, params=params)
+
+
+def save_sensitive(path, ds: LabeledDataset, provenance: dict) -> None:
+    data_io.save_container(path, "sensitive", ds.pixels, ds.image_shape, labels=ds.labels, provenance=provenance)
 
 
 def save_central(path, central: CentralImageSet, shape: tuple[int, int, int]) -> None:
@@ -312,38 +349,26 @@ def warmup_train(
     return params
 
 
-def run_stage1(
-    cfg: PipelineConfig,
-    ds: LabeledDataset,
-    params: DenoiserParams,
-    ledger: PrivacySpec,
-    rng: RngSeed,
-    schedule: NoiseSchedule,
-) -> tuple[DenoiserParams, Optional[CentralImageSet]]:
+def run_stage1(cfg: PipelineConfig, state: RunState) -> tuple[RunState, Optional[CentralImageSet]]:
     """Query central images (charged to the ledger) and pre-train on them."""
     if cfg.central.kind == "none":
-        return params, None
-    central = query_central(cfg.central, ds, rng.derive(1))
-    ledger.record(*central.events)
-    ledger.assert_within_budget()
+        return state, None
+    central = query_central(cfg.central, state.ds, state.rng.derive(1))
+    state.ledger.record(*central.events)
+    state.ledger.assert_within_budget()
 
     # Noisy central images can stray outside the pixel range; clamping is
     # post-processing and keeps the augmentation range contract intact.
     warm_pixels = np.clip(central.pixels, 0.0, 1.0)
-    params = warmup_train(params, warm_pixels, central.labels, schedule, cfg.warmup, rng.derive(2))
-    return params, central
+    params = warmup_train(state.params, warm_pixels, central.labels, state.schedule, cfg.warmup, state.rng.derive(2))
+    return dataclasses.replace(state, params=params), central
 
 
 def run_stage2(
-    cfg: PipelineConfig,
-    ds: LabeledDataset,
-    params: DenoiserParams,
-    ledger: PrivacySpec,
-    rng: RngSeed,
-    schedule: NoiseSchedule,
-    hooks: Optional[TrainHooks] = None,
-) -> tuple[DenoiserParams, float]:
+    cfg: PipelineConfig, state: RunState, hooks: Optional[TrainHooks] = None
+) -> tuple[RunState, float]:
     """Calibrate the fine-tune noise scale, then train privately."""
+    ledger = state.ledger
     sigma_f = calibrate_sigma_f(
         list(ledger.events),
         cfg.finetune.steps,
@@ -354,7 +379,7 @@ def run_stage2(
     )
     ledger.sigma_f = sigma_f
     if cfg.finetune.steps == 0:
-        return params, sigma_f
+        return state, sigma_f
     sgd = DpSgdConfig(
         learning_rate=cfg.finetune.learning_rate,
         clip_bound=cfg.finetune.clip_bound,
@@ -368,19 +393,44 @@ def run_stage2(
             p,
             x0,
             labels,
-            schedule,
+            state.schedule,
             erng,
             weights,
             noise_multiplicity=cfg.finetune.noise_multiplicity,
             example_ids=example_ids,
         )
 
-    params = train(params, ds, sgd, engine, ledger, rng.derive(3), hooks)
-    return params, sigma_f
+    params = train(state.params, state.ds, sgd, engine, ledger, state.rng.derive(3), hooks)
+    return dataclasses.replace(state, params=params), sigma_f
 
 
-def _balanced_labels(n: int, num_classes: int) -> np.ndarray:
-    return np.arange(n, dtype=np.int64) % num_classes
+def sample_stage(
+    params: DenoiserParams, schedule: NoiseSchedule, n: int, rng: RngSeed,
+    conditional: bool = True, out=None, provenance: Optional[dict] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """`n` samples and their labels (classes in turn, or None); with `out`, also a synthetic container there."""
+    m = params.manifest
+    labels = np.arange(n, dtype=np.int64) % m.num_classes if conditional else None
+    pixels = sample(params, schedule, n, rng, labels=labels)
+    if out is not None:
+        data_io.save_container(
+            out, "synthetic", pixels, (m.height, m.width, m.channels), labels=labels, provenance=provenance
+        )
+    return pixels, labels
+
+
+def fit_frechet(
+    real_pixels: np.ndarray, shape: tuple[int, int, int], feature_kind: str, feature_dim: int
+) -> Callable[[np.ndarray], float]:
+    """Fréchet distance of an image set to the real pixels, in a feature space fitted on them once."""
+    extractor = FeatureExtractor(feature_kind, feature_dim).fit(real_pixels)
+    real_feats = extractor.extract(real_pixels, shape)
+    return lambda pixels: frechet_distance(extractor.extract(pixels, shape), real_feats)
+
+
+def probe_set(pixels: np.ndarray, labels: np.ndarray, real: LabeledDataset) -> LabeledDataset:
+    """The probe's training set: synthetic images clipped to [0, 1], with the real set's classes and shape."""
+    return LabeledDataset(np.clip(pixels, 0, 1), labels, real.num_classes, real.image_shape)
 
 
 def run_all(cfg: PipelineConfig) -> str:
@@ -390,28 +440,23 @@ def run_all(cfg: PipelineConfig) -> str:
     os.makedirs(out, exist_ok=True)
     data_io.write_file(os.path.join(out, "config.json"), (cfg.to_json() + "\n").encode("utf-8"))
 
-    rng, ds, schedule, ledger, params = initial_state(cfg)
-    params, central = run_stage1(cfg, ds, params, ledger, rng, schedule)
-    save_checkpoint(os.path.join(out, "warmup.ckpt"), params, schedule)
-    shape = ds.image_shape
+    state, central = run_stage1(cfg, initial_state(cfg))
+    ds, schedule, ledger = state.ds, state.schedule, state.ledger
+    save_checkpoint(os.path.join(out, "warmup.ckpt"), state.params, schedule)
     if central is not None:
-        save_central(os.path.join(out, "central.dpc"), central, shape)
+        save_central(os.path.join(out, "central.dpc"), central, ds.image_shape)
 
-    extractor = FeatureExtractor(cfg.eval.feature_kind, cfg.eval.feature_dim).fit(ds.pixels)
-    real_feats = extractor.extract(ds.pixels, shape)
-    eval_rng = rng.derive(1000)
-
-    def frechet(synth: np.ndarray) -> float:
-        return frechet_distance(extractor.extract(synth, shape), real_feats)
+    frechet = fit_frechet(ds.pixels, ds.image_shape, cfg.eval.feature_kind, cfg.eval.feature_dim)
+    eval_rng = state.rng.derive(1000)
 
     def fidelity(p: DenoiserParams, n: int, sample_rng: RngSeed) -> float:
-        n = max(n, extractor.dim + 1)  # Gaussian fit needs more samples than dims
-        return frechet(sample(p, schedule, n, sample_rng, labels=_balanced_labels(n, ds.num_classes)))
+        n = max(n, cfg.eval.feature_dim + 1)  # Gaussian fit needs more samples than dims
+        return frechet(sample_stage(p, schedule, n, sample_rng)[0])
 
     loss_p_start = denoising_loss_estimate(
-        params, schedule, ds, eval_rng.derive(0), draws=cfg.eval.loss_draws
+        state.params, schedule, ds, eval_rng.derive(0), draws=cfg.eval.loss_draws
     )
-    frechet_warmup = fidelity(params, cfg.eval.n_synthetic, eval_rng.derive(1))
+    frechet_warmup = fidelity(state.params, cfg.eval.n_synthetic, eval_rng.derive(1))
 
     curve_rows: list[tuple[int, float]] = []
     log_lines: list[str] = []
@@ -437,29 +482,22 @@ def run_all(cfg: PipelineConfig) -> str:
         on_checkpoint=on_checkpoint,
         budget_check_every=max(1, cfg.finetune.checkpoint_every),
     )
-    params, sigma_f = run_stage2(cfg, ds, params, ledger, rng, schedule, hooks)
-    save_checkpoint(os.path.join(out, "final.ckpt"), params, schedule)
+    state, sigma_f = run_stage2(cfg, state, hooks)
+    save_checkpoint(os.path.join(out, "final.ckpt"), state.params, schedule)
 
-    labels = _balanced_labels(cfg.eval.n_synthetic, ds.num_classes)
-    synth_pixels = sample(params, schedule, cfg.eval.n_synthetic, eval_rng.derive(3), labels=labels)
-    data_io.save_container(
-        os.path.join(out, "samples.dpc"),
-        "synthetic",
-        synth_pixels,
-        shape,
-        labels=labels,
-        provenance={"seed": cfg.seed, "n": cfg.eval.n_synthetic},
+    n = cfg.eval.n_synthetic
+    synth_pixels, labels = sample_stage(
+        state.params, schedule, n, eval_rng.derive(3),
+        out=os.path.join(out, "samples.dpc"), provenance={"seed": cfg.seed, "n": n},
     )
-
     # These samples are the fidelity draw itself unless the Gaussian fit needs more of them.
-    if len(synth_pixels) > extractor.dim:
+    if len(synth_pixels) > cfg.eval.feature_dim:
         frechet_final = frechet(synth_pixels)
     else:
-        frechet_final = fidelity(params, cfg.eval.n_synthetic, eval_rng.derive(3))
+        frechet_final = fidelity(state.params, n, eval_rng.derive(3))
     acc = None
-    if cfg.eval.probe and cfg.eval.n_synthetic >= 2 * ds.num_classes:
-        synthetic_ds = LabeledDataset(synth_pixels, labels, ds.num_classes, shape)
-        acc = train_probe_classifier(synthetic_ds, ds, iterations=cfg.eval.probe_iterations)
+    if cfg.eval.probe and n >= 2 * ds.num_classes:
+        acc = train_probe_classifier(probe_set(synth_pixels, labels, ds), ds, iterations=cfg.eval.probe_iterations)
 
     eps_final, best_alpha = ledger.epsilon()
     metrics = {

@@ -1,10 +1,14 @@
+import argparse
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpsynth import FormatError, RngSeed
+from dpsynth import cli
 from dpsynth.cli import main
 from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, load_checkpoint, save_checkpoint
 from dpsynth.data_io import load_container, save_container
@@ -291,6 +295,39 @@ class TestEndToEndCli:
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["epsilon_spent"]) <= 8.0
 
+    def test_stage_commands_reproduce_run_all(self, tmp_path, toy_container, capsys):
+        config = {
+            "seed": 4,
+            "output_dir": str(tmp_path / "run"),
+            "dataset": {"source": "container", "path": str(toy_container)},
+            "central": {"kind": "mean", "count": 6, "sampling_rate": 0.2, "noise_scale": 5.0, "per_label": True},
+            "model": {"hidden1": 16, "hidden2": 16, "time_dim": 4, "label_dim": 4, "diffusion_steps": 10},
+            "privacy": {"epsilon": 8.0, "delta": 1e-5},
+            "warmup": {"iterations": 4, "batch_size": 8, "learning_rate": 0.01},
+            "finetune": {"steps": 3, "sampling_rate": 0.3, "clip_bound": 0.5, "learning_rate": 0.02,
+                         "checkpoint_every": 2},
+            "eval": {"n_synthetic": 20, "loss_draws": 100, "probe": False},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        run = tmp_path / "run"
+        assert main(["run-all", "--config", str(cfg_path)]) == 0
+        ck, ledger, final = tmp_path / "warm.ckpt", tmp_path / "ledger.json", tmp_path / "final.ckpt"
+        assert main(["warmup", "--config", str(cfg_path), "--out", str(ck), "--ledger-out", str(ledger)]) == 0
+        capsys.readouterr()
+        assert main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--ledger", str(ledger),
+                     "--out", str(final)]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+
+        assert ck.read_bytes() == (run / "warmup.ckpt").read_bytes()
+        assert final.read_bytes() == (run / "final.ckpt").read_bytes()
+        stage1_events = json.loads(ledger.read_text())["events"]
+        run_events = json.loads((run / "ledger.json").read_text())["events"]
+        assert len(stage1_events) == 6 and stage1_events == run_events[: len(stage1_events)]
+        metrics = json.loads((run / "metrics.json").read_text())
+        assert kv["sigma_f"] == f"{metrics['sigma_f']:.9g}"
+        assert kv["epsilon_spent"] == f"{metrics['epsilon_spent']:.9g}"
+
     def test_finetune_refuses_a_checkpoint_the_config_did_not_build(self, tmp_path, toy_container, capsys):
         config = {
             "seed": 4,
@@ -368,3 +405,12 @@ class TestEndToEndCli:
         rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--out", str(final)])
         assert rc == 0
         assert final.exists()
+
+
+def test_subcommand_docs_match_the_parser():
+    registered = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    sentence = cli.__doc__.split("Subcommands", 1)[1].split(".\n", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", sentence) == list(registered)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    assert sorted(set(re.findall(r"^dpsynth ([a-z-]+)", block, re.M))) == sorted(registered)

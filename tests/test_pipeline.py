@@ -7,6 +7,7 @@ import pytest
 
 from dpsynth import BudgetExhaustedError, PrivacySpec, RngSeed
 from dpsynth.accounting import calibrate_sigma_f
+from dpsynth.cli import main
 from dpsynth.diffusion import init_params, load_checkpoint
 from dpsynth.pipeline import (
     CentralConfig,
@@ -17,6 +18,7 @@ from dpsynth.pipeline import (
     ModelConfig,
     PipelineConfig,
     PrivacyConfig,
+    RunState,
     WarmupConfig,
     build_manifest,
     build_schedule,
@@ -74,6 +76,32 @@ class TestConfig:
         assert PipelineConfig.from_json_file(path) == cfg
 
 
+# (section, key, a value that must be refused before any query is charged)
+BAD_VALUES = [
+    ("warmup", "batch_size", 0),
+    ("warmup", "augment_k", 0),
+    ("warmup", "noise_multiplicity", 0),
+    ("finetune", "noise_multiplicity", 0),
+    ("finetune", "clip_bound", 0.0),
+    ("finetune", "learning_rate", -0.01),
+    ("finetune", "checkpoint_every", -1),
+    ("eval", "loss_draws", 0),
+]
+
+
+@pytest.mark.parametrize("section,key,value", BAD_VALUES, ids=[f"{s}.{k}" for s, k, _ in BAD_VALUES])
+def test_bad_value_is_refused_before_the_run_starts(tmp_path, capsys, section, key, value):
+    raw = json.loads(tiny_config(tmp_path, "bad").to_json())
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        PipelineConfig.from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run-all", "--config", str(cfg_path)]) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 class TestStage1:
     def test_query_central_takes_every_option_from_the_config(self, tmp_path):
         ds = load_dataset(tiny_config(tmp_path, "q").dataset, RngSeed(1))
@@ -94,10 +122,10 @@ class TestStage1:
         schedule = build_schedule(cfg.model)
         params = init_params(build_manifest(cfg.model, ds.image_shape, ds.num_classes), rng.derive(10))
         ledger = PrivacySpec(10.0, 1e-5)
-        out, central = run_stage1(cfg, ds, params, ledger, rng, schedule)
+        out, central = run_stage1(cfg, RunState(rng, ds, schedule, ledger, params))
         assert central is None
         assert ledger.events == []
-        assert np.array_equal(out.vector, params.vector)
+        assert np.array_equal(out.params.vector, params.vector)
 
     def test_mean_queries_populate_ledger_and_labels(self, tmp_path):
         cfg = tiny_config(tmp_path, "f")
@@ -106,11 +134,11 @@ class TestStage1:
         schedule = build_schedule(cfg.model)
         params = init_params(build_manifest(cfg.model, ds.image_shape, ds.num_classes), rng.derive(10))
         ledger = PrivacySpec(10.0, 1e-5)
-        out, central = run_stage1(cfg, ds, params, ledger, rng, schedule)
+        out, central = run_stage1(cfg, RunState(rng, ds, schedule, ledger, params))
         assert len(central) == 10
         assert sorted(set(central.labels)) == list(range(10))
         assert len(ledger.events) == 10
-        assert not np.array_equal(out.vector, params.vector)  # warm-up moved the weights
+        assert not np.array_equal(out.params.vector, params.vector)  # warm-up moved the weights
 
     def test_warmup_consumes_no_extra_events(self, tmp_path):
         # post-processing guarantee: only the queries are charged
@@ -120,7 +148,7 @@ class TestStage1:
         schedule = build_schedule(cfg.model)
         params = init_params(build_manifest(cfg.model, ds.image_shape, ds.num_classes), rng.derive(10))
         ledger = PrivacySpec(10.0, 1e-5)
-        run_stage1(cfg, ds, params, ledger, rng, schedule)
+        run_stage1(cfg, RunState(rng, ds, schedule, ledger, params))
         assert len(ledger.events) == cfg.central.count
         assert all(ev.kind == "mean_query" for ev in ledger.events)
 
@@ -137,7 +165,7 @@ class TestStage1:
         params = init_params(build_manifest(cfg.model, ds.image_shape, ds.num_classes), rng.derive(10))
         ledger = PrivacySpec(0.5, 1e-5)
         with pytest.raises(BudgetExhaustedError):
-            run_stage1(cfg, ds, params, ledger, rng, schedule)
+            run_stage1(cfg, RunState(rng, ds, schedule, ledger, params))
 
 
 class TestStage2:
@@ -153,7 +181,7 @@ class TestStage2:
 
         ledger.record(MechanismEvent("mean_query", q=0.5, sigma=0.7, repetitions=50))
         with pytest.raises(BudgetExhaustedError, match="query stage"):
-            run_stage2(cfg, ds, params, ledger, rng, schedule)
+            run_stage2(cfg, RunState(rng, ds, schedule, ledger, params))
 
     def test_tighter_budget_needs_more_noise(self):
         sig_eps10 = calibrate_sigma_f([], 200, 0.1, 10.0, 1e-5)
@@ -167,9 +195,9 @@ class TestStage2:
         schedule = build_schedule(cfg.model)
         params = init_params(build_manifest(cfg.model, ds.image_shape, ds.num_classes), rng.derive(10))
         ledger = PrivacySpec(10.0, 1e-5)
-        out, central = run_stage1(cfg, ds, params, ledger, rng, schedule)
+        out, central = run_stage1(cfg, RunState(rng, ds, schedule, ledger, params))
         n_query = len(ledger.events)
-        final, sigma_f = run_stage2(cfg, ds, out, ledger, rng, schedule)
+        final, sigma_f = run_stage2(cfg, out)
         assert len(ledger.events) == n_query + cfg.finetune.steps
         assert ledger.sigma_f == sigma_f
         eps = ledger.assert_within_budget()
