@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .core import InvalidArgumentError
 
@@ -115,8 +114,24 @@ def _t_cutout(img, m, gen):
     return out
 
 
+def _running_mean3(x: np.ndarray) -> np.ndarray:
+    """Zero-padded size-3 running mean along axis 0.
+
+    One running sum over the padded line p, started at p0 + p1 + p2 and
+    advanced by p[i+2] - p[i-1]. `cumsum` adds in sequence, so every value
+    is bit-identical to a constant-mode size-3 `uniform_filter1d`.
+    """
+    padded = np.zeros((x.shape[0] + 2,) + x.shape[1:])
+    padded[1:-1] = x
+    steps = np.empty_like(x)
+    steps[0] = padded[0] + padded[1] + padded[2]
+    np.subtract(padded[3:], padded[:-3], out=steps[1:])
+    return np.cumsum(steps, axis=0) / 3.0
+
+
 def _t_sharpen(img, m, gen):
-    blurred = uniform_filter(img, size=(3, 3, 1), mode="constant")
+    # 3 x 3 box blur per channel: along the height, then along the width
+    blurred = _running_mean3(_running_mean3(img).swapaxes(0, 1)).swapaxes(0, 1)
     return img + m * (img - blurred)
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .core import InvalidArgumentError, RngSeed, frozen_copy
 from .data_io import read_framed, write_framed
@@ -215,12 +214,18 @@ def zero_params(manifest: ParamManifest) -> DenoiserParams:
     return DenoiserParams(manifest, np.zeros(manifest.num_params))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(-x) overflows to inf below x = -709, where the sigmoid is exactly 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _silu(x: np.ndarray) -> np.ndarray:
-    return x * expit(x)
+    return x * _sigmoid(x)
 
 
 def _silu_grad(x: np.ndarray) -> np.ndarray:
-    s = expit(x)
+    s = _sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
 
 

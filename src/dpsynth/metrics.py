@@ -27,20 +27,24 @@ REGULARIZATION = 1e-6
 LOSS_CHUNK = 1000  # draws per denoiser batch; the draw order depends on it
 
 
+FEATURE_KINDS = ("downsample", "pca")
+MAX_FEATURE_DIM = 64
+
+
 @dataclass
 class FeatureExtractor:
-    """Deterministic image-to-feature map, at most 64 output dimensions."""
+    """Deterministic image-to-feature map, at most MAX_FEATURE_DIM output dimensions."""
 
-    kind: str = "downsample"  # "downsample" | "pca"
+    kind: str = "downsample"  # one of FEATURE_KINDS
     dim: int = 16
     _mean: Optional[np.ndarray] = None
     _components: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("downsample", "pca"):
+        if self.kind not in FEATURE_KINDS:
             raise InvalidArgumentError(f"unknown feature extractor kind {self.kind!r}")
-        if not (1 <= self.dim <= 64):
-            raise InvalidArgumentError("feature dimension must be in [1, 64]")
+        if not (1 <= self.dim <= MAX_FEATURE_DIM):
+            raise InvalidArgumentError(f"feature dimension must be in [1, {MAX_FEATURE_DIM}]")
 
     def fit(self, pixels: np.ndarray) -> "FeatureExtractor":
         """PCA fit on reference data; a no-op for the downsampling map.

@@ -21,7 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -41,11 +41,44 @@ from .diffusion import (
     save_checkpoint,
 )
 from .dpsgd import DpSgdConfig, TrainHooks, train
-from .metrics import FeatureExtractor, denoising_loss_estimate, frechet_distance, train_probe_classifier
+from .metrics import (
+    FEATURE_KINDS,
+    MAX_FEATURE_DIM,
+    FeatureExtractor,
+    denoising_loss_estimate,
+    frechet_distance,
+    train_probe_classifier,
+)
 
 
 class ConfigError(ValueError):
     """A pipeline configuration failed schema validation."""
+
+
+def _is_json_type(value, hint) -> bool:
+    """Whether a JSON-decoded `value` fits the field type `hint`.
+
+    An int fits a float field; a bool fits only a bool field; a tuple field
+    takes a JSON list.
+    """
+    if get_origin(hint) is Union:
+        return any(_is_json_type(value, h) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_is_json_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _check_json_types(cls, values: dict, prefix: str) -> None:
+    """Refuse a value whose JSON type does not fit its dataclass field, naming `prefix` + key."""
+    hints = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name in values and not _is_json_type(values[f.name], hints[f.name]):
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {values[f.name]!r}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +183,7 @@ class PipelineConfig:
                 unknown = set(value) - names
                 if unknown:
                     raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
+                _check_json_types(sections[key], value, f"{key}.")
                 if key == "warmup" and value.get("augment_names") is not None:
                     value = dict(value, augment_names=tuple(value["augment_names"]))
                 kwargs[key] = sections[key](**value)
@@ -157,6 +191,7 @@ class PipelineConfig:
                 kwargs[key] = value
             else:
                 raise ConfigError(f"unknown top-level key {key!r}")
+        _check_json_types(cls, kwargs, "")
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -206,8 +241,20 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be positive")
         if not (0 < self.finetune.sampling_rate <= 1):
             raise ConfigError("finetune.sampling_rate must be in (0, 1]")
-        if self.central.kind != "none" and not (0 < self.central.sampling_rate <= 1):
-            raise ConfigError("central.sampling_rate must be in (0, 1]")
+        if self.central.kind != "none":
+            if not (0 < self.central.sampling_rate <= 1):
+                raise ConfigError("central.sampling_rate must be in (0, 1]")
+            if self.central.count < 1:
+                raise ConfigError("central.count must be at least 1")
+            # a zero scale would release noise-free images and charge nothing
+            if not self.central.noise_scale > 0:
+                raise ConfigError("central.noise_scale must be positive")
+            if self.central.kind == "mode" and self.central.bins < 2:
+                raise ConfigError("central.bins must be at least 2 for mode queries")
+        if self.eval.feature_kind not in FEATURE_KINDS:
+            raise ConfigError(f"eval.feature_kind must be one of {FEATURE_KINDS}, got {self.eval.feature_kind!r}")
+        if not (1 <= self.eval.feature_dim <= MAX_FEATURE_DIM):
+            raise ConfigError(f"eval.feature_dim must be in [1, {MAX_FEATURE_DIM}]")
 
 
 def load_dataset(cfg: DatasetConfig, rng: RngSeed) -> LabeledDataset:

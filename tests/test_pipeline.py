@@ -86,12 +86,28 @@ BAD_VALUES = [
     ("finetune", "learning_rate", -0.01),
     ("finetune", "checkpoint_every", -1),
     ("eval", "loss_draws", 0),
+    ("central", "noise_scale", 0.0),
+    ("central", "noise_scale", -1.0),
+    ("central", "count", 0),
+    ("central", "bins", 1),
+    ("eval", "feature_kind", "inception"),
+    ("eval", "feature_dim", 0),
+    ("eval", "feature_dim", 65),
 ]
+# Settings a bad value needs around it to be checked at all.
+BAD_VALUE_CONTEXT = {("central", "bins"): {"kind": "mode"}}
 
 
-@pytest.mark.parametrize("section,key,value", BAD_VALUES, ids=[f"{s}.{k}" for s, k, _ in BAD_VALUES])
+def _bad_value_id(section, key, value) -> str:
+    """`section.key`, with the value appended where a key is tried more than once."""
+    repeated = sum((s, k) == (section, key) for s, k, _ in BAD_VALUES) > 1
+    return f"{section}.{key}={value}" if repeated else f"{section}.{key}"
+
+
+@pytest.mark.parametrize("section,key,value", BAD_VALUES, ids=[_bad_value_id(*case) for case in BAD_VALUES])
 def test_bad_value_is_refused_before_the_run_starts(tmp_path, capsys, section, key, value):
     raw = json.loads(tiny_config(tmp_path, "bad").to_json())
+    raw[section].update(BAD_VALUE_CONTEXT.get((section, key), {}))
     raw[section][key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         PipelineConfig.from_dict(raw)
@@ -100,6 +116,42 @@ def test_bad_value_is_refused_before_the_run_starts(tmp_path, capsys, section, k
     assert main(["run-all", "--config", str(cfg_path)]) == 1
     assert f"{section}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+# (section, key, a value of the wrong JSON type)
+WRONG_TYPES = [
+    ("warmup", "batch_size", "8"),
+    ("finetune", "learning_rate", True),
+    ("central", "noise_scale", [5.0]),
+    ("eval", "probe", 1),
+    ("warmup", "augment_names", "sharpen"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", WRONG_TYPES, ids=[f"{s}.{k}" for s, k, _ in WRONG_TYPES])
+def test_wrong_json_type_is_a_config_error(tmp_path, capsys, section, key, value):
+    raw = json.loads(tiny_config(tmp_path, "typed").to_json())
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+        PipelineConfig.from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run-all", "--config", str(cfg_path)]) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "typed").exists()
+
+
+def test_int_is_accepted_where_a_float_is_expected(tmp_path):
+    raw = json.loads(tiny_config(tmp_path, "ints").to_json())
+    raw["central"]["noise_scale"] = 5
+    raw["finetune"]["clip_bound"] = 1
+    cfg = PipelineConfig.from_dict(raw)
+    assert cfg.central.noise_scale == 5.0 and cfg.finetune.clip_bound == 1.0
+
+
+def test_wrong_top_level_type_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed must be int"):
+        PipelineConfig.from_dict({"seed": 1.5})
 
 
 class TestStage1:
