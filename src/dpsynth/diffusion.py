@@ -32,6 +32,7 @@ from .core import InvalidArgumentError, RngSeed, frozen_copy
 from .data_io import read_framed, write_framed
 
 CHECKPOINT_MAGIC = b"DPSYNCK1"
+NOISE_BLOCK_BYTES = 2 * 1024 * 1024  # the sampler's noise buffer, unless one step of n chains needs more
 
 
 @dataclass(frozen=True)
@@ -372,8 +373,9 @@ def _noise_draws(
     gen = None
     for i, ex in enumerate(ids):
         gen = rng.derive(int(ex)).generator(into=gen)
-        ts[i] = gen.integers(1, T + 1, size=k)
-        es[i] = gen.standard_normal((k, manifest.data_dim))
+        # the scalar draw takes the same numbers from the stream as a draw of size 1, faster
+        ts[i] = gen.integers(1, T + 1) if k == 1 else gen.integers(1, T + 1, size=k)
+        gen.standard_normal(out=es[i])
     return ts, es
 
 
@@ -510,9 +512,11 @@ def sample(
 
     Returns an (n, H*W*C) matrix. Each of the n chains draws from its own
     derived stream, one vector per step, so sample i is reproducible
-    independent of n. Runs exactly one denoiser evaluation per step per
-    image; the final output is the clean estimate from step 1, clamped to
-    the pixel range [0, 1].
+    independent of n. The draws are made K steps at a time into a buffer of
+    at most max(NOISE_BLOCK_BYTES, n*D*8) bytes, which changes no value.
+    Runs exactly one denoiser evaluation per step per image; the final
+    output is the clean estimate from step 1, clamped to the pixel range
+    [0, 1].
     """
     if n < 0:
         raise InvalidArgumentError("sample count must be non-negative")
@@ -531,15 +535,22 @@ def sample(
     T = schedule.num_steps
     abars = schedule.alpha_bars
     gens = [rng.derive(i).generator() for i in range(n)]
-    noise = np.empty((n, m.data_dim))
+    # A chain's T noise vectors come K at a time: one draw of K*D normals is
+    # the same stream as K draws of D each, in 1/K of the calls.
+    K = max(1, min(T, NOISE_BLOCK_BYTES // (n * m.data_dim * 8)))
+    block = np.empty((n, K, m.data_dim))
 
-    def draw() -> np.ndarray:
-        for gen, row in zip(gens, noise):
-            gen.standard_normal(out=row)
-        return noise
+    def noise(step: int) -> np.ndarray:
+        """The (n, D) noise of the chain's step-th draw (0 is x_T), refilling the block every K steps."""
+        j = step % K
+        if j == 0:
+            rows = min(K, T - step)
+            for gen, chain in zip(gens, block):
+                gen.standard_normal(out=chain[:rows])
+        return block[:, j]
 
     views = m.views(params.vector)
-    x = draw().copy()  # x_T; the buffer is refilled at every re-noising step
+    x = noise(0).copy()  # x_T
     x0_hat = x
     for t in range(T, 0, -1):
         out, _ = _forward_cached(views, m, x, np.full(n, t), lab)
@@ -547,7 +558,7 @@ def sample(
         x0_hat = (x - math.sqrt(1.0 - ab_t) * out) / math.sqrt(ab_t)
         if t > 1:
             ab_prev = abars[t - 2]
-            x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * draw()
+            x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * noise(T - t + 1)
     return np.clip(x0_hat, 0.0, 1.0)
 
 

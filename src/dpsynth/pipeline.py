@@ -379,9 +379,7 @@ def warmup_train(
     for it in range(cfg.iterations):
         gen = rng.derive(it).generator()
         idx = gen.integers(0, n, size=cfg.batch_size)
-        batch = np.empty((cfg.batch_size, pixels.shape[1]))
-        for j, i in enumerate(idx):
-            batch[j] = apply_chain(pixels[i].reshape(shape3d), bag, gen).reshape(-1)
+        batch = apply_chain(pixels[idx].reshape((-1,) + shape3d), bag, gen).reshape(len(idx), -1)
         batch_labels = labels[idx] if labels is not None else None
         grad, _, _ = loss_and_weighted_grad_sum(
             params,
@@ -483,17 +481,27 @@ def probe_set(pixels: np.ndarray, labels: np.ndarray, real: LabeledDataset) -> L
 def run_all(cfg: PipelineConfig) -> str:
     """Full workflow; returns the run directory path."""
     cfg.validate()
+    state = initial_state(cfg)
+    ds, schedule, ledger = state.ds, state.schedule, state.ledger
+    # Fitting the evaluation features first refuses, before anything is
+    # charged or written, settings that do not fit this data: PCA with no
+    # more images than dimensions, or fewer downsample dims than channels.
+    try:
+        frechet = fit_frechet(ds.pixels, ds.image_shape, cfg.eval.feature_kind, cfg.eval.feature_dim)
+    except InvalidArgumentError as exc:
+        raise ConfigError(
+            f"eval.feature_kind {cfg.eval.feature_kind!r} with eval.feature_dim {cfg.eval.feature_dim} "
+            f"does not fit {len(ds.labels)} images of shape {ds.image_shape}: {exc}"
+        ) from exc
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     data_io.write_file(os.path.join(out, "config.json"), (cfg.to_json() + "\n").encode("utf-8"))
 
-    state, central = run_stage1(cfg, initial_state(cfg))
-    ds, schedule, ledger = state.ds, state.schedule, state.ledger
+    state, central = run_stage1(cfg, state)
     save_checkpoint(os.path.join(out, "warmup.ckpt"), state.params, schedule)
     if central is not None:
         save_central(os.path.join(out, "central.dpc"), central, ds.image_shape)
 
-    frechet = fit_frechet(ds.pixels, ds.image_shape, cfg.eval.feature_kind, cfg.eval.feature_dim)
     eval_rng = state.rng.derive(1000)
 
     def fidelity(p: DenoiserParams, n: int, sample_rng: RngSeed) -> float:

@@ -6,9 +6,12 @@ float64 quadrature, gradients come from central finite differences, and
 statistics come from first principles. Keep it that way; a shared code path
 would turn the checks into tautologies.
 
-One oracle is a frozen reference instead: `integer_log_moment_minus_one` is
-the accountant's former per-order closed form, kept verbatim so the
-vectorized kernel that replaced it can be held to bit-identity.
+Some oracles are frozen references instead, kept verbatim so the vectorized
+code that replaced them can be held to bit-identity:
+`integer_log_moment_minus_one` is the accountant's former per-order closed
+form, `apply_chain` with its per-image transforms is the former one-image-at-
+a-time augmentation, and `noise_draws` is the former per-example draw loop of
+`diffusion._noise_draws`.
 """
 
 from __future__ import annotations
@@ -112,3 +115,166 @@ def frechet_diagonal_oracle(mu1, var1, mu2, var2) -> float:
     return float(
         np.sum((mu1 - mu2) ** 2) + np.sum((np.sqrt(var1) - np.sqrt(var2)) ** 2)
     )
+
+
+# --- frozen per-image augmentation ------------------------------------------
+
+
+def _affine_nearest(img: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Inverse-map each output pixel through `matrix` about the image center."""
+    h, w, _ = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.mgrid[0:h, 0:w]
+    ys = rows - cy
+    xs = cols - cx
+    src_y = matrix[0, 0] * ys + matrix[0, 1] * xs
+    src_x = matrix[1, 0] * ys + matrix[1, 1] * xs
+    sr = np.rint(src_y + cy).astype(np.int64)
+    sc = np.rint(src_x + cx).astype(np.int64)
+    valid = (sr >= 0) & (sr < h) & (sc >= 0) & (sc < w)
+    out = np.zeros_like(img)
+    out[valid] = img[sr[valid], sc[valid]]
+    return out
+
+
+def _translate(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    out = np.zeros_like(img)
+    h, w, _ = img.shape
+    ys = slice(max(dy, 0), min(h + dy, h))
+    xs = slice(max(dx, 0), min(w + dx, w))
+    ys_src = slice(max(-dy, 0), min(h - dy, h))
+    xs_src = slice(max(-dx, 0), min(w - dx, w))
+    out[ys, xs] = img[ys_src, xs_src]
+    return out
+
+
+def _t_identity(img, m, gen):
+    return img
+
+
+def _t_translate_x(img, m, gen):
+    return _translate(img, 0, int(round(m * img.shape[1])))
+
+
+def _t_translate_y(img, m, gen):
+    return _translate(img, int(round(m * img.shape[0])), 0)
+
+
+def _t_rotate(img, m, gen):
+    a = math.radians(m)
+    inv = np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
+    return _affine_nearest(img, inv)
+
+
+def _t_scale(img, m, gen):
+    inv = np.array([[1.0 / m, 0.0], [0.0, 1.0 / m]])
+    return _affine_nearest(img, inv)
+
+
+def _t_shear_x(img, m, gen):
+    inv = np.array([[1.0, 0.0], [-m, 1.0]])
+    return _affine_nearest(img, inv)
+
+
+def _t_shear_y(img, m, gen):
+    inv = np.array([[1.0, -m], [0.0, 1.0]])
+    return _affine_nearest(img, inv)
+
+
+def _t_brightness(img, m, gen):
+    return img + m
+
+
+def _t_contrast(img, m, gen):
+    return (img - 0.5) * m + 0.5
+
+
+def _t_invert(img, m, gen):
+    return 1.0 - img
+
+
+def _t_cutout(img, m, gen):
+    h, w, _ = img.shape
+    side = max(1, int(round(m * min(h, w))))
+    top = int(gen.integers(0, h - side + 1))
+    left = int(gen.integers(0, w - side + 1))
+    out = img.copy()
+    out[top : top + side, left : left + side, :] = 0.0
+    return out
+
+
+def _running_mean3(x: np.ndarray) -> np.ndarray:
+    padded = np.zeros((x.shape[0] + 2,) + x.shape[1:])
+    padded[1:-1] = x
+    steps = np.empty_like(x)
+    steps[0] = padded[0] + padded[1] + padded[2]
+    np.subtract(padded[3:], padded[:-3], out=steps[1:])
+    return np.cumsum(steps, axis=0) / 3.0
+
+
+def _t_sharpen(img, m, gen):
+    blurred = _running_mean3(_running_mean3(img).swapaxes(0, 1)).swapaxes(0, 1)
+    return img + m * (img - blurred)
+
+
+def _t_posterize(img, m, gen):
+    levels = max(2, int(round(m)))
+    return np.rint(img * (levels - 1)) / (levels - 1)
+
+
+def _t_solarize(img, m, gen):
+    return np.where(img >= m, 1.0 - img, img)
+
+
+PER_IMAGE_TRANSFORMS = {
+    "identity": _t_identity,
+    "translate_x": _t_translate_x,
+    "translate_y": _t_translate_y,
+    "rotate": _t_rotate,
+    "scale": _t_scale,
+    "shear_x": _t_shear_x,
+    "shear_y": _t_shear_y,
+    "brightness": _t_brightness,
+    "contrast": _t_contrast,
+    "invert": _t_invert,
+    "cutout": _t_cutout,
+    "sharpen": _t_sharpen,
+    "posterize": _t_posterize,
+    "solarize": _t_solarize,
+}
+
+
+def apply_chain(img3d: np.ndarray, bag, gen: np.random.Generator) -> np.ndarray:
+    """One (H, W, C) image's chain: the bag's names and ranges, the per-image transforms above."""
+    out = img3d
+    picks = gen.integers(0, len(bag.transforms), size=bag.k)
+    for i in picks:
+        t = bag.transforms[i]
+        magnitude = float(gen.uniform(t.lo, t.hi))
+        out = PER_IMAGE_TRANSFORMS[t.name](out, magnitude, gen)
+    return np.clip(out, 0.0, 1.0)
+
+
+def apply_chain_batch(images: np.ndarray, bag, gen: np.random.Generator) -> np.ndarray:
+    """A (B, H, W, C) batch through `apply_chain`, one image after the other."""
+    return np.stack([apply_chain(img, bag, gen) for img in images]) if len(images) else np.array(images, float)
+
+
+# --- frozen per-example noise draws -----------------------------------------
+
+
+def noise_draws(data_dim: int, num_steps: int, rng, n: int, k: int, example_ids):
+    """(timesteps (n, k), noise (n, k, D)): the per-example loop, one array call each."""
+    T = num_steps
+    if example_ids is None:
+        gen = rng.generator()
+        return gen.integers(1, T + 1, size=(n, k)), gen.standard_normal((n, k, data_dim))
+    ids = list(example_ids)
+    ts = np.empty((n, k), dtype=np.int64)
+    es = np.empty((n, k, data_dim))
+    gen = None
+    for i, ex in enumerate(ids):
+        gen = rng.derive(int(ex)).generator(into=gen)
+        ts[i] = gen.integers(1, T + 1, size=k)
+        es[i] = gen.standard_normal((k, data_dim))
+    return ts, es

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 import dpsynth.augment as augment_mod
-from dpsynth import RngSeed, default_bag
+import dpsynth.pipeline as pipeline_mod
+from dpsynth import InvalidArgumentError, RngSeed, default_bag
 from dpsynth.augment import AugmentationBag, Transform, _translate, apply_chain
+from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params
+from dpsynth.pipeline import WarmupConfig, warmup_train
+
+import oracles
 
 
 @pytest.fixture
@@ -98,6 +103,105 @@ class TestIndividualTransforms:
 
         out = _t_rotate(glyph_image, 0.0, None)
         assert np.array_equal(out, glyph_image)
+
+
+ORACLE_SHAPES = [(8, 8, 1), (28, 28, 1), (8, 8, 3), (5, 7, 1), (1, 1, 1), (2, 2, 1)]
+NAMES = default_bag().names()
+# Ranges at the edges: fixed magnitudes (lo == hi), a half-pixel shift at
+# width 8 (rint's tie), shifts up to the full side, shears past the border,
+# a full cutout. (The per-image shift fails past the full side; see below.)
+EDGE_RANGES = {
+    "rotate": (45.0, 45.0),
+    "translate_x": (0.0625, 0.0625),
+    "translate_y": (-1.0, 1.0),
+    "scale": (0.25, 4.0),
+    "shear_x": (-2.0, 2.0),
+    "shear_y": (0.5, 0.5),
+    "brightness": (-1.0, 1.0),
+    "contrast": (0.0, 3.0),
+    "cutout": (1.0, 1.0),
+    "sharpen": (0.0, 3.0),
+    "posterize": (2.5, 2.5),
+    "solarize": (0.0, 1.0),
+}
+
+
+def _same_as_per_image(images, bag, seed):
+    """The batched chain equals the per-image oracle, and leaves the generator where it does."""
+    batched_gen, oracle_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = apply_chain(images, bag, batched_gen)
+    if images.ndim == 3:
+        expected = oracles.apply_chain(images, bag, oracle_gen)
+    else:
+        expected = oracles.apply_chain_batch(images, bag, oracle_gen)
+    assert batched.shape == images.shape
+    assert np.array_equal(batched, expected)
+    assert batched_gen.bit_generator.state == oracle_gen.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=["x".join(map(str, s)) for s in ORACLE_SHAPES])
+class TestBatchedChainEqualsPerImageOracle:
+    def test_each_transform_alone(self, shape):
+        for n, name in enumerate(NAMES):
+            for k in (1, 2, 3):
+                for b in (1, 5, 32):
+                    images = np.random.default_rng(n).random((b,) + shape)
+                    _same_as_per_image(images, default_bag(k).subset([name]), seed=100 * n + 10 * k + b)
+
+    def test_random_subsets_and_range_overrides(self, shape):
+        gen = np.random.default_rng(sum(shape))
+        for trial in range(24):
+            k, b = (1, 2, 3)[trial % 3], (1, 5, 32)[trial // 3 % 3]
+            names = list(gen.choice(NAMES, size=int(gen.integers(1, len(NAMES) + 1)), replace=False))
+            bag = default_bag(k).subset(names)
+            if trial % 2:
+                bag = bag.with_ranges({n: r for n, r in EDGE_RANGES.items() if n in names})
+            _same_as_per_image(gen.random((b,) + shape), bag, seed=trial)
+
+    def test_single_image_is_the_batch_of_one(self, shape):
+        image = np.random.default_rng(7).random(shape)
+        for seed in range(20):
+            _same_as_per_image(image, default_bag(3), seed)
+            one = apply_chain(image[None], default_bag(3), np.random.default_rng(seed))
+            assert np.array_equal(apply_chain(image, default_bag(3), np.random.default_rng(seed)), one[0])
+
+
+def test_chain_refuses_a_flat_row():
+    with pytest.raises(InvalidArgumentError, match=r"\(H, W, C\) image or a \(B, H, W, C\) batch"):
+        apply_chain(np.zeros(64), default_bag(), np.random.default_rng(0))
+
+
+def test_shift_past_the_border_leaves_a_zero_image():
+    # The per-image oracle's slices wrap round for a shift longer than the
+    # side and raise; the gather zero-fills every pixel instead.
+    img = np.random.default_rng(0).random((2, 5, 7, 1)) + 0.5
+    assert not np.any(_translate(img, np.array([6, -9]), np.array([0, 1])))
+    bag = default_bag(1).subset(["translate_x"]).with_ranges({"translate_x": (1.5, 1.5)})
+    assert not np.any(apply_chain(img, bag, np.random.default_rng(1)))
+    with pytest.raises(ValueError):
+        oracles.apply_chain_batch(img, bag, np.random.default_rng(1))
+
+
+WARMUP_SHAPES = [(28, 28, 1), (8, 8, 3)]
+
+
+@pytest.mark.parametrize("shape", WARMUP_SHAPES, ids=["x".join(map(str, s)) for s in WARMUP_SHAPES])
+def test_warmup_weights_equal_a_run_with_the_per_image_oracle(shape, monkeypatch):
+    h, w, c = shape
+    manifest = ParamManifest(
+        height=h, width=w, channels=c, hidden1=16, hidden2=16, time_dim=4, num_classes=3, label_dim=3
+    )
+    params = init_params(manifest, RngSeed(1))
+    gen = np.random.default_rng(2)
+    pixels = gen.random((20, h * w * c))
+    labels = gen.integers(0, 3, size=20)
+    cfg = WarmupConfig(iterations=4, batch_size=6, learning_rate=0.01, augment_k=3)
+    args = (params, pixels, labels, NoiseSchedule.linear(10), cfg, RngSeed(3))
+    batched = warmup_train(*args)
+    monkeypatch.setattr(pipeline_mod, "apply_chain", oracles.apply_chain_batch)
+    per_image = warmup_train(*args)
+    assert batched.vector.tobytes() == per_image.vector.tobytes()
+    assert batched.vector.tobytes() != params.vector.tobytes()
 
 
 class TestPrivacyIsolation:

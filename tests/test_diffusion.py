@@ -1,3 +1,6 @@
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from dpsynth.diffusion import (
     zero_params,
 )
 
-from oracles import clt_mean_bound, clt_variance_bound, finite_difference_gradient
+from oracles import clt_mean_bound, clt_variance_bound, finite_difference_gradient, noise_draws
 
 TINY = ParamManifest(
     height=4, width=4, channels=1, hidden1=8, hidden2=7, time_dim=4, num_classes=3, label_dim=3
@@ -311,24 +314,78 @@ class TestWeightedGradSum:
             )
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("example_ids", [None, [4, 0, 91, 4, 17]], ids=["one-stream", "per-example"])
+def test_noise_draws_equal_the_per_example_loop(k, example_ids):
+    sched = NoiseSchedule.linear(10)
+    ts, es = diffusion_mod._noise_draws(TINY, sched, RngSeed(8), 5, k, example_ids)
+    want_ts, want_es = noise_draws(TINY.data_dim, sched.num_steps, RngSeed(8), 5, k, example_ids)
+    assert ts.dtype == want_ts.dtype and np.array_equal(ts, want_ts)
+    assert np.array_equal(es, want_es)
+
+
 class TestSampling:
-    def test_zero_model_matches_hand_rolled_chain(self):
+    def test_zero_model_matches_hand_rolled_chain(self, monkeypatch):
         # With a zero denoiser the chain is a deterministic function of the
-        # injected Gaussians; replay it step by step.
+        # injected Gaussians; replay it step by step, one draw per step.
         params = zero_params(TINY)
         sched = NoiseSchedule.linear(8)
-        out = sample(params, sched, 2, RngSeed(77))
         abars = sched.alpha_bars
         T = sched.num_steps
+        expected = []
         for i in range(2):
-            noises = RngSeed(77).derive(i).generator().standard_normal((T, 16))
-            x = noises[0]
+            gen = RngSeed(77).derive(i).generator()
+            x = gen.standard_normal(16)
             for t in range(T, 0, -1):
                 x0_hat = x / np.sqrt(abars[t - 1])
                 if t > 1:
-                    x = np.sqrt(abars[t - 2]) * x0_hat + np.sqrt(1 - abars[t - 2]) * noises[T - t + 1]
-            expected = np.clip(x0_hat, 0.0, 1.0)
-            assert np.allclose(out[i], expected, rtol=0, atol=0)
+                    x = np.sqrt(abars[t - 2]) * x0_hat + np.sqrt(1 - abars[t - 2]) * gen.standard_normal(16)
+            expected.append(np.clip(x0_hat, 0.0, 1.0))
+        step_bytes = 2 * 16 * 8  # one step's noise for both chains
+        # noise blocks of K = 1 step, K = 3 < T with T mod K = 2, and K = T (the default here)
+        for block_bytes in (step_bytes, 3 * step_bytes, diffusion_mod.NOISE_BLOCK_BYTES):
+            monkeypatch.setattr(diffusion_mod, "NOISE_BLOCK_BYTES", block_bytes)
+            out = sample(params, sched, 2, RngSeed(77))
+            assert np.array_equal(out, np.array(expected)), block_bytes
+
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["default", "one-step"])
+    def test_noise_buffer_stays_within_its_bound(self, monkeypatch, block_bytes):
+        # Every allocation made on a line of `sample` and held while the
+        # chains run is at most max(NOISE_BLOCK_BYTES, n*D*8) bytes, plus the
+        # array's header. Here the whole chain's noise, n*T*D*8 = 3.1 MiB,
+        # would not be.
+        if block_bytes is not None:
+            monkeypatch.setattr(diffusion_mod, "NOISE_BLOCK_BYTES", block_bytes)
+        manifest = ParamManifest(
+            height=8, width=8, channels=1, hidden1=8, hidden2=8, time_dim=4, num_classes=3, label_dim=3
+        )
+        n, T = 64, 100
+        bound = max(diffusion_mod.NOISE_BLOCK_BYTES, n * manifest.data_dim * 8)
+        assert n * T * manifest.data_dim * 8 > bound
+        lines, first = inspect.getsourcelines(diffusion_mod.sample)
+        in_sample = [
+            tracemalloc.Filter(True, diffusion_mod.__file__, lineno)
+            for lineno in range(first, first + len(lines))
+        ]
+        calls, held = [], []
+        forward = diffusion_mod._forward_cached
+
+        def tracing_forward(*args):
+            calls.append(1)
+            if len(calls) % 7 in (1, 2):  # snapshots are slow: two steps in seven
+                snapshot = tracemalloc.take_snapshot().filter_traces(in_sample)
+                held.append(max(stat.size for stat in snapshot.statistics("lineno")))
+            return forward(*args)
+
+        monkeypatch.setattr(diffusion_mod, "_forward_cached", tracing_forward)
+        tracemalloc.start()
+        try:
+            sample(zero_params(manifest), NoiseSchedule.linear(T), n, RngSeed(5))
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == T
+        assert max(held) <= bound + 1024
+        assert max(held) >= min(bound, n * T * manifest.data_dim * 8) // 2  # the buffer itself was seen
 
     def test_empty_request(self, rng):
         params = zero_params(TINY)

@@ -141,6 +141,30 @@ def test_wrong_json_type_is_a_config_error(tmp_path, capsys, section, key, value
     assert not (tmp_path / "typed").exists()
 
 
+# Eval settings that only the dataset can refuse: (channels, feature_kind, feature_dim)
+DATA_BOUND_EVAL = [(3, "downsample", 2), (1, "pca", 40)]
+
+
+@pytest.mark.parametrize("channels,kind,dim", DATA_BOUND_EVAL, ids=[k for _, k, _ in DATA_BOUND_EVAL])
+def test_eval_setting_the_data_cannot_meet_is_refused_before_any_query(tmp_path, capsys, channels, kind, dim):
+    # 4 classes of 10: 40 images, so PCA cannot fit 40 dims; 3 channels need 3 downsample dims.
+    cfg = tiny_config(
+        tmp_path,
+        "unfit",
+        dataset=DatasetConfig(source="toy", n_per_class=10, num_classes=4, height=8, width=8, channels=channels),
+        eval=EvalConfig(n_synthetic=40, loss_draws=200, probe=False, feature_kind=kind, feature_dim=dim),
+    )
+    cfg.validate()  # the config alone is valid
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    assert main(["run-all", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "eval.feature_kind" in err and "eval.feature_dim" in err
+    out = tmp_path / "unfit"
+    assert not (out / "central.dpc").exists() and not (out / "warmup.ckpt").exists()
+    assert not out.exists()
+
+
 def test_int_is_accepted_where_a_float_is_expected(tmp_path):
     raw = json.loads(tiny_config(tmp_path, "ints").to_json())
     raw["central"]["noise_scale"] = 5
