@@ -233,10 +233,12 @@ class AugmentationBag:
         out = []
         for t in self.transforms:
             if t.name in ranges:
-                lo, hi = ranges[t.name]
-                if hi < lo:
+                lo, hi = (float(v) for v in ranges[t.name])
+                if not lo <= hi:
                     raise InvalidArgumentError(f"empty magnitude range for {t.name}: ({lo}, {hi})")
-                t = dataclasses.replace(t, lo=float(lo), hi=float(hi))
+                if t.name == "cutout" and not (0.0 <= lo and hi <= 1.0):
+                    raise InvalidArgumentError(f"cutout sides are fractions of the image side, not ({lo}, {hi})")
+                t = dataclasses.replace(t, lo=lo, hi=hi)
             out.append(t)
         return AugmentationBag(tuple(out), k=self.k)
 

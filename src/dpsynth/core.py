@@ -63,6 +63,14 @@ class RngSeed:
             s = _splitmix64(s ^ (int(idx) & _MASK64))
         return RngSeed(self.seed, s)
 
+    def derive_many(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """``derive(i).stream`` for each i in `ids`, as one uint64 array (uint64 wraps as the masked ints do)."""
+        z = np.array(ids, dtype=np.uint64) ^ np.uint64(self.stream)
+        z += np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
     def generator(self, into: Optional[np.random.Generator] = None) -> np.random.Generator:
         """A generator at the start of this stream.
 
@@ -87,7 +95,13 @@ class RngSeed:
 
 
 def frozen_copy(a: np.ndarray) -> np.ndarray:
-    """A read-only C-contiguous float64 copy of `a`; the caller's array stays writable."""
+    """A read-only C-contiguous float64 copy of `a`; the caller's array stays writable.
+
+    An array that already is all that and owns its data is adopted: its builder gave up writing to it.
+    """
+    adoptable = isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+    if adoptable and a.flags.owndata and not a.flags.writeable:
+        return a
     a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
@@ -181,7 +195,9 @@ class LabeledDataset:
 
     def subset(self, indices: Iterable[int]) -> "LabeledDataset":
         idx = np.fromiter(indices, dtype=np.int64)
-        return LabeledDataset(self.pixels[idx], self.labels[idx], self.num_classes, self.image_shape)
+        pixels = self.pixels[idx]
+        pixels.setflags(write=False)  # a fresh array, so the dataset adopts it without a copy
+        return LabeledDataset(pixels, self.labels[idx], self.num_classes, self.image_shape)
 
     def partition_by_label(self) -> dict[int, "LabeledDataset"]:
         """Disjoint per-label subsets in row order (labels keep their original values)."""

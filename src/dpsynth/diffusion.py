@@ -22,6 +22,7 @@ vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -52,9 +53,11 @@ class NoiseSchedule:
     def num_steps(self) -> int:
         return len(self.betas)
 
-    @property
+    @functools.cached_property
     def alpha_bars(self) -> np.ndarray:
-        return np.cumprod(1.0 - np.asarray(self.betas, dtype=np.float64))
+        bars = np.cumprod(1.0 - np.asarray(self.betas, dtype=np.float64))
+        bars.setflags(write=False)
+        return bars
 
     def alpha_bar(self, t: int) -> float:
         """Cumulative product through step t (1-indexed)."""
@@ -141,9 +144,18 @@ class ParamManifest:
             "emb": (self.num_classes + 1, self.label_dim),
         }
 
+    @functools.cached_property
+    def _layout(self) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+        """(name, shape, start, stop) of each block in the flat vector, computed once."""
+        blocks, offset = [], 0
+        for name, shape in self.block_shapes().items():
+            blocks.append((name, shape, offset, offset + math.prod(shape)))
+            offset += math.prod(shape)
+        return tuple(blocks)
+
     @property
     def num_params(self) -> int:
-        return sum(int(np.prod(s)) for s in self.block_shapes().values())
+        return self._layout[-1][3]
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Named reshaped views into a flat parameter vector (no copies)."""
@@ -151,12 +163,7 @@ class ParamManifest:
             raise InvalidArgumentError(
                 f"parameter vector has shape {vector.shape}, expected ({self.num_params},)"
             )
-        out, offset = {}, 0
-        for name, shape in self.block_shapes().items():
-            size = int(np.prod(shape))
-            out[name] = vector[offset : offset + size].reshape(shape)
-            offset += size
-        return out
+        return {name: vector[start:stop].reshape(shape) for name, shape, start, stop in self._layout}
 
     def to_dict(self) -> dict:
         return {
@@ -216,9 +223,11 @@ def zero_params(manifest: ParamManifest) -> DenoiserParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-x) overflows to inf below x = -709, where the sigmoid is exactly 0.0
+    # exp(-x) overflows to inf below x = -709, where the sigmoid is exactly 0.0.
+    # Above 40, exp(-x) < 2**-54 and 1 + exp(-x) rounds to 1.0, so the clamp
+    # changes no value; it keeps exp off its slow underflow path (x > 745).
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        return 1.0 / (1.0 + np.exp(-np.minimum(x, 40.0)))
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -254,11 +263,8 @@ def forward_noise(
     return corrupt(x0, abar, e), e
 
 
-def _assemble_input(
-    manifest: ParamManifest, x: np.ndarray, t: np.ndarray, labels: Optional[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack pixels, time embedding, and label embedding indices for a batch."""
-    n = x.shape[0]
+def _label_rows(views: dict, manifest: ParamManifest, n: int, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Validated embedding indices (n,) of a batch and their embedding rows (n, label_dim)."""
     if labels is None:
         lab = np.full(n, manifest.unconditional_label, dtype=np.int64)
     else:
@@ -267,13 +273,12 @@ def _assemble_input(
             raise InvalidArgumentError("labels must match the batch size")
         if lab.min() < 0 or lab.max() > manifest.unconditional_label:
             raise InvalidArgumentError("label outside the embedding table")
-    temb = time_embedding(t, manifest.time_dim)
-    return temb, lab
+    return lab, views["emb"][lab]
 
 
-def _forward_cached(views: dict, manifest: ParamManifest, x, t, labels):
-    temb, lab = _assemble_input(manifest, x, t, labels)
-    z0 = np.concatenate([x, temb, views["emb"][lab]], axis=1)
+def _forward_cached(views: dict, manifest: ParamManifest, x, temb, lab, rows):
+    """Output and backward cache; `temb` is (n, time_dim) or one shared row, `lab, rows` from `_label_rows`."""
+    z0 = np.concatenate([x, np.broadcast_to(temb, (len(x), manifest.time_dim)), rows], axis=1)
     a1 = z0 @ views["W1"].T + views["b1"]
     h1 = _silu(a1)
     a2 = h1 @ views["W2"].T + views["b2"]
@@ -298,7 +303,9 @@ def denoiser_forward(
         labels = None if labels is None else np.array([labels])
     if x.shape[1] != m.data_dim:
         raise InvalidArgumentError(f"input dim {x.shape[1]} != manifest data dim {m.data_dim}")
-    out, _ = _forward_cached(m.views(params.vector), m, x, np.asarray(t), labels)
+    views = m.views(params.vector)
+    temb = time_embedding(np.asarray(t), m.time_dim)
+    out, _ = _forward_cached(views, m, x, temb, *_label_rows(views, m, x.shape[0], labels))
     return out[0] if single else out
 
 
@@ -334,16 +341,13 @@ def _backward(views, manifest, cache, dout):
     dz0 = da1 @ views["W1"]
 
     flat = np.zeros((n, manifest.num_params))
-    offset = 0
-    for name, shape in manifest.block_shapes().items():
-        size = int(np.prod(shape))
+    for name, _, start, stop in manifest._layout:
         if name == "emb":
             demb = dz0[:, manifest.data_dim + manifest.time_dim :]
-            cols = offset + lab[:, None] * manifest.label_dim + np.arange(manifest.label_dim)[None, :]
+            cols = start + lab[:, None] * manifest.label_dim + np.arange(manifest.label_dim)[None, :]
             flat[np.arange(n)[:, None], cols] = demb
         else:
-            flat[:, offset : offset + size] = g[name].reshape(n, size)
-        offset += size
+            flat[:, start:stop] = g[name].reshape(n, stop - start)
     return flat
 
 
@@ -365,14 +369,14 @@ def _noise_draws(
     if example_ids is None:
         gen = rng.generator()
         return gen.integers(1, T + 1, size=(n, k)), gen.standard_normal((n, k, manifest.data_dim))
-    ids = list(example_ids)
-    if len(ids) != n:
+    streams = rng.derive_many(example_ids)
+    if streams.shape != (n,):
         raise InvalidArgumentError("example_ids must match the batch size")
     ts = np.empty((n, k), dtype=np.int64)
     es = np.empty((n, k, manifest.data_dim))
     gen = None
-    for i, ex in enumerate(ids):
-        gen = rng.derive(int(ex)).generator(into=gen)
+    for i, stream in enumerate(streams):
+        gen = RngSeed(rng.seed, int(stream)).generator(into=gen)
         # the scalar draw takes the same numbers from the stream as a draw of size 1, faster
         ts[i] = gen.integers(1, T + 1) if k == 1 else gen.integers(1, T + 1, size=k)
         gen.standard_normal(out=es[i])
@@ -411,6 +415,7 @@ def loss_and_per_example_grads(
         return DiffusionBatchLoss(0.0, np.zeros(0), np.zeros((0, m.num_params)))
 
     ts, es = _noise_draws(m, schedule, rng, n, k, example_ids)
+    lab_rows = _label_rows(views, m, n, labels)
     losses = np.zeros(n)
     grads = np.zeros((n, m.num_params))
     for j in range(k):
@@ -418,7 +423,7 @@ def loss_and_per_example_grads(
         e_j = es[:, j]
         ab = abars[t_j - 1][:, None]
         x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * e_j
-        out, cache = _forward_cached(views, m, x_t, t_j, labels)
+        out, cache = _forward_cached(views, m, x_t, time_embedding(t_j, m.time_dim), *lab_rows)
         resid = out - e_j
         losses += np.sum(resid * resid, axis=1) / k
         grads += _backward(views, m, cache, 2.0 * resid / k)
@@ -470,7 +475,8 @@ def loss_and_weighted_grad_sum(
     x_t = np.sqrt(ab) * np.repeat(x0, k, axis=0) + np.sqrt(1.0 - ab) * e
     rows_labels = None if labels is None else np.repeat(np.asarray(labels), k)
     views = m.views(params.vector)
-    out, (z0, a1, h1, a2, h2, lab) = _forward_cached(views, m, x_t, t, rows_labels)
+    lab_rows = _label_rows(views, m, n * k, rows_labels)
+    out, (z0, a1, h1, a2, h2, lab) = _forward_cached(views, m, x_t, time_embedding(t, m.time_dim), *lab_rows)
     resid = out - e
     losses = (np.sum(resid * resid, axis=1) / k).reshape(n, k).sum(axis=1)
 
@@ -523,18 +529,19 @@ def sample(
     m = params.manifest
     if n == 0:
         return np.zeros((0, m.data_dim))
-    if labels is None:
-        lab = None
-    elif np.isscalar(labels):
-        lab = np.full(n, int(labels), dtype=np.int64)
-    else:
-        lab = np.asarray(labels, dtype=np.int64)
-        if lab.shape != (n,):
-            raise InvalidArgumentError("labels must match the sample count")
+    if labels is not None and np.isscalar(labels):
+        labels = np.full(n, int(labels), dtype=np.int64)
+    elif labels is not None and np.shape(labels) != (n,):
+        raise InvalidArgumentError("labels must match the sample count")
 
     T = schedule.num_steps
     abars = schedule.alpha_bars
-    gens = [rng.derive(i).generator() for i in range(n)]
+    # Each step's inputs other than x are the same for every step: validate
+    # and gather the labels' rows once, and embed the T timesteps once.
+    views = m.views(params.vector)
+    lab_rows = _label_rows(views, m, n, labels)
+    temb = time_embedding(np.arange(1, T + 1), m.time_dim)
+    gens = [RngSeed(rng.seed, int(s)).generator() for s in rng.derive_many(np.arange(n))]
     # A chain's T noise vectors come K at a time: one draw of K*D normals is
     # the same stream as K draws of D each, in 1/K of the calls.
     K = max(1, min(T, NOISE_BLOCK_BYTES // (n * m.data_dim * 8)))
@@ -549,11 +556,10 @@ def sample(
                 gen.standard_normal(out=chain[:rows])
         return block[:, j]
 
-    views = m.views(params.vector)
     x = noise(0).copy()  # x_T
     x0_hat = x
     for t in range(T, 0, -1):
-        out, _ = _forward_cached(views, m, x, np.full(n, t), lab)
+        out, _ = _forward_cached(views, m, x, temb[t - 1], *lab_rows)
         ab_t = abars[t - 1]
         x0_hat = (x - math.sqrt(1.0 - ab_t) * out) / math.sqrt(ab_t)
         if t > 1:

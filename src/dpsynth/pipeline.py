@@ -27,7 +27,7 @@ import numpy as np
 
 from . import data_io
 from .accounting import MechanismEvent, PrivacySpec, calibrate_sigma_f
-from .augment import apply_chain, default_bag
+from .augment import AugmentationBag, apply_chain, default_bag
 from .central import CentralImageSet, MeanQueryConfig, ModeQueryConfig, query_central_set
 from .core import InvalidArgumentError, LabeledDataset, RngSeed
 from .diffusion import (
@@ -239,6 +239,7 @@ class PipelineConfig:
         ):
             if not v > 0:
                 raise ConfigError(f"{name} must be positive")
+        warmup_bag(self.warmup)
         if not (0 < self.finetune.sampling_rate <= 1):
             raise ConfigError("finetune.sampling_rate must be in (0, 1]")
         if self.central.kind != "none":
@@ -357,6 +358,20 @@ def save_central(path, central: CentralImageSet, shape: tuple[int, int, int]) ->
     )
 
 
+def warmup_bag(cfg: WarmupConfig) -> AugmentationBag:
+    """The augmentation bag `cfg` names; a ConfigError naming the key if it names a bad one."""
+    bag, key = default_bag(cfg.augment_k), "augment_names"
+    try:
+        if cfg.augment_names is not None:
+            bag = bag.subset(list(cfg.augment_names))
+        key = "augment_ranges"
+        if cfg.augment_ranges is not None:
+            bag = bag.with_ranges({k: tuple(v) for k, v in cfg.augment_ranges.items()})
+    except (TypeError, ValueError) as exc:  # InvalidArgumentError is a ValueError
+        raise ConfigError(f"warmup.{key}: {exc}") from exc
+    return bag
+
+
 def warmup_train(
     params: DenoiserParams,
     pixels: np.ndarray,
@@ -368,11 +383,7 @@ def warmup_train(
     """Plain (non-private) SGD on central images with chained augmentation."""
     if cfg.iterations == 0 or pixels.shape[0] == 0:
         return params
-    bag = default_bag(cfg.augment_k)
-    if cfg.augment_names is not None:
-        bag = bag.subset(list(cfg.augment_names))
-    if cfg.augment_ranges is not None:
-        bag = bag.with_ranges({k: tuple(v) for k, v in cfg.augment_ranges.items()})
+    bag = warmup_bag(cfg)
     m = params.manifest
     shape3d = (m.height, m.width, m.channels)
     n = pixels.shape[0]

@@ -10,8 +10,10 @@ Some oracles are frozen references instead, kept verbatim so the vectorized
 code that replaced them can be held to bit-identity:
 `integer_log_moment_minus_one` is the accountant's former per-order closed
 form, `apply_chain` with its per-image transforms is the former one-image-at-
-a-time augmentation, and `noise_draws` is the former per-example draw loop of
-`diffusion._noise_draws`.
+a-time augmentation, `noise_draws` is the former per-example draw loop of
+`diffusion._noise_draws`, and `sigmoid` and `sample` are the ancestral
+sampler as it was before its step invariants were hoisted and its sigmoid
+clamped.
 """
 
 from __future__ import annotations
@@ -278,3 +280,85 @@ def noise_draws(data_dim: int, num_steps: int, rng, n: int, k: int, example_ids)
         ts[i] = gen.integers(1, T + 1, size=k)
         es[i] = gen.standard_normal((k, data_dim))
     return ts, es
+
+
+# --- frozen ancestral sampler ------------------------------------------------
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The unclamped logistic: exp(-x) underflows to 0 above 745 and overflows below -709."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    half = dim // 2
+    freqs = np.exp(-math.log(10_000.0) * np.arange(half) / half)[None, :]
+    ang = t * freqs
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+def _denoise(blocks: dict, manifest, x: np.ndarray, t: int, lab: np.ndarray) -> np.ndarray:
+    """One step's forward: each chain's time and label embedding rebuilt from scratch."""
+    z0 = np.concatenate([x, _time_embedding(np.full(len(x), t), manifest.time_dim), blocks["emb"][lab]], axis=1)
+    a1 = z0 @ blocks["W1"].T + blocks["b1"]
+    h1 = a1 * sigmoid(a1)
+    a2 = h1 @ blocks["W2"].T + blocks["b2"]
+    h2 = a2 * sigmoid(a2)
+    return h2 @ blocks["W3"].T + blocks["b3"]
+
+
+def sample(params, schedule, n: int, rng, labels=None) -> np.ndarray:
+    """Ancestral sampling, one noise vector per chain per step from the chain's stream rng.derive(i)."""
+    m = params.manifest
+    if n == 0:
+        return np.zeros((0, m.data_dim))
+    blocks, offset = {}, 0
+    for name, shape in m.block_shapes().items():
+        size = int(np.prod(shape))
+        blocks[name] = params.vector[offset : offset + size].reshape(shape)
+        offset += size
+    if labels is None:
+        lab = np.full(n, m.unconditional_label, dtype=np.int64)
+    elif np.isscalar(labels):
+        lab = np.full(n, int(labels), dtype=np.int64)
+    else:
+        lab = np.asarray(labels, dtype=np.int64)
+    T = schedule.num_steps
+    abars = np.cumprod(1.0 - np.asarray(schedule.betas, dtype=np.float64))
+    gens = [rng.derive(i).generator() for i in range(n)]
+    x = np.stack([gen.standard_normal(m.data_dim) for gen in gens])  # x_T
+    x0_hat = x
+    for t in range(T, 0, -1):
+        out = _denoise(blocks, m, x, t, lab)
+        ab_t = abars[t - 1]
+        x0_hat = (x - math.sqrt(1.0 - ab_t) * out) / math.sqrt(ab_t)
+        if t > 1:
+            ab_prev = abars[t - 2]
+            e = np.stack([gen.standard_normal(m.data_dim) for gen in gens])
+            x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * e
+    return np.clip(x0_hat, 0.0, 1.0)
+
+
+# --- frozen toy glyph generator ----------------------------------------------
+
+
+def toy_glyph_pixels(n_per_class: int, num_classes: int, shape, rng) -> np.ndarray:
+    """The (N, H*W*C) glyph pixels, built one image after the other from the class templates."""
+    from dpsynth.data_io import _glyph_canvas
+
+    h, w, c = shape
+    gen = rng.generator()
+    pixels = np.empty((num_classes * n_per_class, h * w * c))
+    for cls in range(num_classes):
+        src = _glyph_canvas(cls, h, w)
+        for j in range(n_per_class):
+            dy, dx = gen.integers(-1, 2, size=2)
+            base = np.zeros((h, w))
+            ys = slice(max(dy, 0), min(h + dy, h))
+            xs = slice(max(dx, 0), min(w + dx, w))
+            base[ys, xs] = src[max(-dy, 0) : min(h - dy, h), max(-dx, 0) : min(w - dx, w)]
+            intensity = gen.uniform(0.7, 1.0)
+            pixels[cls * n_per_class + j] = np.repeat((base * intensity)[:, :, None], c, axis=2).reshape(-1)
+    return pixels

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,17 @@ class TestRngSeed:
         with pytest.raises(InvalidArgumentError):
             RngSeed(1).derive()
 
+    @pytest.mark.parametrize(
+        "ids",
+        [[0, 1, 2**63 - 1], [5, 5, 0, 5], [9, 3, 700, 2, 3], np.arange(300), []],
+        ids=["extremes", "duplicates", "unsorted", "arange", "empty"],
+    )
+    def test_derive_many_matches_derive(self, ids):
+        root = RngSeed(11, 2**64 - 3)
+        streams = root.derive_many(ids)
+        assert streams.dtype == np.uint64 and streams.shape == (len(ids),)
+        assert [int(s) for s in streams] == [root.derive(int(i)).stream for i in ids]
+
     def test_generator_reproducible(self):
         g1 = RngSeed(7, 3).generator().standard_normal(10)
         g2 = RngSeed(7, 3).generator().standard_normal(10)
@@ -97,6 +109,33 @@ def _dataset_with(pixel=None, value=0.5, labels=(0, 1, 1, 0), width=4, num_class
 
 
 class TestLabeledDataset:
+    def test_a_writable_input_is_copied(self):
+        pixels = np.full((4, 4), 0.5)
+        ds = LabeledDataset(pixels, (0, 1, 1, 0), 2, (2, 2, 1))
+        pixels[0, 0] = 1.0
+        assert ds.pixels[0, 0] == 0.5 and not ds.pixels.flags.writeable
+
+    def test_a_frozen_array_it_owns_is_adopted(self):
+        pixels = np.full((4, 4), 0.5)
+        pixels.setflags(write=False)
+        assert LabeledDataset(pixels, (0, 1, 1, 0), 2, (2, 2, 1)).pixels is pixels
+        view = pixels[:2]  # read-only, but its data is another array's
+        assert LabeledDataset(view, (0, 1), 2, (2, 2, 1)).pixels is not view
+
+    def test_subset_holds_one_copy_of_the_rows_it_gathers(self):
+        gen = np.random.default_rng(4)
+        ds = LabeledDataset(gen.random((1000, 784)), gen.integers(0, 10, 1000), 10, (28, 28, 1))
+        rows = gen.permutation(1000)[:800]
+        tracemalloc.start()
+        try:
+            sub = ds.subset(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * sub.pixels.nbytes
+        assert np.array_equal(sub.pixels, ds.pixels[rows]) and np.array_equal(sub.labels, ds.labels[rows])
+        assert not sub.pixels.flags.writeable and not np.shares_memory(sub.pixels, ds.pixels)
+
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             LabeledDataset(np.zeros((1, 4)), (0, 1), 2, (2, 2, 1))

@@ -12,6 +12,8 @@ from dpsynth.data_io import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, write_json
 from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, load_checkpoint, save_checkpoint
 from dpsynth.metrics import train_probe_classifier
 
+import oracles
+
 
 def _write_idx_fixture(tmp_path, pixel_bytes=(0, 128, 255, 0, 255, 0, 128, 128), labels=(1, 0)):
     """Hand-crafted 2-image 2x2 IDX pair."""
@@ -40,6 +42,20 @@ class TestIdx:
         write_idx(ds, out_images, out_labels)
         assert out_images.read_bytes() == images.read_bytes()
         assert out_labels.read_bytes() == labels.read_bytes()
+
+    def test_read_holds_one_copy_of_the_pixels(self, tmp_path):
+        ds = generate_toy_glyphs(300, 10, (28, 28, 1), RngSeed(3))
+        images, labels = tmp_path / "glyphs.idx", tmp_path / "glyph_labels.idx"
+        write_idx(ds, images, labels)
+        tracemalloc.start()
+        try:
+            loaded = read_idx(images, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * ds.pixels.nbytes  # the float64 matrix, 3,000 x 784
+        assert np.array_equal(loaded.pixels, np.rint(ds.pixels * 255.0) / 255.0)
+        assert not loaded.pixels.flags.writeable
 
     def test_truncated_payload_names_offset(self, tmp_path):
         images, labels = _write_idx_fixture(tmp_path)
@@ -222,6 +238,16 @@ class TestToyGlyphs:
         b = generate_toy_glyphs(5, 10, (8, 8, 1), RngSeed(3))
         assert np.array_equal(a.pixels, b.pixels)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize(
+        "n_per_class,num_classes,shape", [(200, 10, (8, 8, 1)), (30, 10, (28, 28, 1)), (40, 7, (8, 8, 3)), (25, 10, (9, 12, 2))]
+    )
+    def test_bit_identical_to_the_image_by_image_generator(self, n_per_class, num_classes, shape):
+        for seed in (0, 4, 11):
+            ds = generate_toy_glyphs(n_per_class, num_classes, shape, RngSeed(seed))
+            want = oracles.toy_glyph_pixels(n_per_class, num_classes, shape, RngSeed(seed))
+            assert np.array_equal(ds.pixels.view(np.uint64), want.view(np.uint64))
+            assert ds.labels.tolist() == [k for k in range(num_classes) for _ in range(n_per_class)]
 
     def test_minimum_canvas_enforced(self):
         with pytest.raises(Exception, match="at least 8x8"):

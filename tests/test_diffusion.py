@@ -23,6 +23,7 @@ from dpsynth.diffusion import (
     zero_params,
 )
 
+import oracles
 from oracles import clt_mean_bound, clt_variance_bound, finite_difference_gradient, noise_draws
 
 TINY = ParamManifest(
@@ -322,6 +323,72 @@ def test_noise_draws_equal_the_per_example_loop(k, example_ids):
     want_ts, want_es = noise_draws(TINY.data_dim, sched.num_steps, RngSeed(8), 5, k, example_ids)
     assert ts.dtype == want_ts.dtype and np.array_equal(ts, want_ts)
     assert np.array_equal(es, want_es)
+
+
+def _sigmoid_grid() -> np.ndarray:
+    """Every band edge of exp(-x) with its float neighbours, the extremes and some ordinary values."""
+    tiny = np.finfo(np.float64).tiny
+    points = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    for edge in (40.0, 708.0, 709.78, 745.0):
+        for x in (edge, -edge):
+            points += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    return np.concatenate([points, np.linspace(-800.0, 800.0, 3201)])
+
+
+def test_sigmoid_is_bit_identical_to_the_unclamped_one():
+    x = _sigmoid_grid()
+    want = oracles.sigmoid(x)
+    got = diffusion_mod._sigmoid(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(x, _sigmoid_grid(), equal_nan=True)  # the input is left alone
+
+
+def test_sigmoid_keeps_exp_off_its_underflow_path():
+    # Far above 745, exp(-x) underflows, one slow element at a time; the clamp
+    # keeps exp's argument at -40 there. The unclamped form raises here.
+    x = np.array([750.0, 1e300, np.inf])
+    with np.errstate(under="raise"):
+        assert np.array_equal(diffusion_mod._sigmoid(x), np.ones(3))
+        with pytest.raises(FloatingPointError, match="underflow"):
+            oracles.sigmoid(x)
+
+
+def test_alpha_bars_are_computed_once_and_read_only():
+    sched = NoiseSchedule.linear(20)
+    assert sched.alpha_bars is sched.alpha_bars
+    assert not sched.alpha_bars.flags.writeable
+    with pytest.raises(ValueError):
+        sched.alpha_bars[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 250])
+@pytest.mark.parametrize("labels", ["unconditional", "scalar", "array"])
+@pytest.mark.parametrize("shape", [(8, 8, 1), (28, 28, 1), (8, 8, 3)], ids=["8x8x1", "28x28x1", "8x8x3"])
+def test_sample_is_bit_identical_to_the_per_step_sampler(monkeypatch, shape, labels, n):
+    h, w, c = shape
+    m = ParamManifest(height=h, width=w, channels=c, hidden1=12, hidden2=10, time_dim=6, num_classes=4, label_dim=3)
+    sched = NoiseSchedule.linear(5)
+    lab = {"unconditional": None, "scalar": 2, "array": np.arange(n) % (m.num_classes + 1)}[labels]
+    seen = []
+    sigmoid = diffusion_mod._sigmoid
+
+    def recording_sigmoid(x):
+        seen.append((x.min(), x.max()))
+        return sigmoid(x)
+
+    monkeypatch.setattr(diffusion_mod, "_sigmoid", recording_sigmoid)
+    base = init_params(m, RngSeed(sum(shape) + n))
+    step_bytes = n * m.data_dim * 8
+    # noise blocks of K = 2 < T = 5 steps, and of K = T
+    for block_bytes in (2 * step_bytes, 5 * step_bytes):
+        monkeypatch.setattr(diffusion_mod, "NOISE_BLOCK_BYTES", block_bytes)
+        # ordinary weights, and weights scaled so that hidden inputs pass +-745
+        for scale in (1.0, 60.0):
+            params = base.replace_vector(scale * base.vector)
+            got = sample(params, sched, n, RngSeed(9), labels=lab)
+            want = oracles.sample(params, sched, n, RngSeed(9), labels=lab)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (block_bytes, scale)
+    assert min(lo for lo, _ in seen) < -745.0 and max(hi for _, hi in seen) > 745.0
 
 
 class TestSampling:

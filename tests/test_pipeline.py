@@ -165,6 +165,35 @@ def test_eval_setting_the_data_cannot_meet_is_refused_before_any_query(tmp_path,
     assert not out.exists()
 
 
+# Augmentation settings no bag can be built from: id -> (warmup key, value)
+BAD_AUGMENTATION = {
+    "cutout_above_one": ("augment_ranges", {"cutout": [1.5, 1.5]}),
+    "cutout_below_zero": ("augment_ranges", {"cutout": [-0.1, 0.2]}),
+    "reversed_range": ("augment_ranges", {"rotate": [5.0, -5.0]}),
+    "unknown_range_name": ("augment_ranges", {"mixup": [0.0, 1.0]}),
+    "one_bound": ("augment_ranges", {"rotate": [1.0]}),
+    "unknown_name": ("augment_names", ["mixup"]),
+}
+
+
+@pytest.mark.parametrize("key,value", BAD_AUGMENTATION.values(), ids=BAD_AUGMENTATION.keys())
+def test_bad_augmentation_is_refused_before_any_query(tmp_path, capsys, key, value):
+    cfg = tiny_config(
+        tmp_path, "augment", dataset=DatasetConfig(source="toy", n_per_class=10, num_classes=4, height=8, width=8)
+    )
+    raw = json.loads(cfg.to_json())
+    raw["warmup"][key] = value
+    with pytest.raises(ConfigError, match=f"warmup.{key}"):
+        PipelineConfig.from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run-all", "--config", str(cfg_path)]) == 1
+    assert f"warmup.{key}" in capsys.readouterr().err
+    out = tmp_path / "augment"
+    assert not (out / "config.json").exists() and not (out / "central.dpc").exists()
+    assert not list(tmp_path.rglob("*.ckpt"))
+
+
 def test_int_is_accepted_where_a_float_is_expected(tmp_path):
     raw = json.loads(tiny_config(tmp_path, "ints").to_json())
     raw["central"]["noise_scale"] = 5
