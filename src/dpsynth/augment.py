@@ -2,10 +2,11 @@
 
 A bag holds named parameterized transforms; each application samples k of
 them with replacement, draws a magnitude per transform from its declared
-range, and applies them in order. Every transform maps [0,1] images to [0,1]
-images of the same shape, and works on a whole batch at once. Geometric
-transforms use inverse-mapped nearest neighbor lookups with zero fill:
-deterministic and interpolation free.
+range, and applies them in order. The picks and magnitudes are i.i.d., so a
+batch takes them in two array draws, not image by image. Every transform
+maps [0,1] images to [0,1] images of the same shape, and works on a whole
+batch at once. Geometric transforms use inverse-mapped nearest neighbor
+lookups with zero fill: deterministic and interpolation free.
 
 Augmentation is post-processing of already-privatized images, so nothing in
 this module touches the privacy ledger.
@@ -16,22 +17,18 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .core import InvalidArgumentError
 
-# fn(images, magnitudes, plan_ints) -> images. `images` is (..., H, W, C);
-# `magnitudes` has the leading shape and `plan_ints` that shape plus
-# (PLAN_INTS,), holding what the transform's `extra` returned for each image.
+# fn(images, magnitudes, u) -> images. `images` is (..., H, W, C); `magnitudes`
+# has the leading shape and `u` that shape plus (2,): uniforms in [0, 1) that a
+# transform may spend on its own choices (cutout's corner).
 TransformFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-# extra(image_shape, magnitude, gen) -> up to PLAN_INTS integers, drawn after the magnitude.
-ExtraFn = Callable[[tuple[int, int, int], float, np.random.Generator], tuple[int, ...]]
 # inverse(magnitudes, image_shape) -> (a, b, c, d, dy, dx), each a scalar or shaped like magnitudes
 InverseFn = Callable[[np.ndarray, tuple[int, int, int]], tuple]
-
-PLAN_INTS = 3  # the most integers any transform plans per image: cutout's top, left and side
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,6 @@ class Transform:
     lo: float
     hi: float
     fn: TransformFn
-    extra: Optional[ExtraFn] = None
 
 
 def _per_image(values) -> np.ndarray:
@@ -91,7 +87,7 @@ class Warp:
 
     inverse: InverseFn
 
-    def __call__(self, img, m, plan):
+    def __call__(self, img, m, u):
         return _warp(img, _stack(self.inverse(m, img.shape[-3:]), np.shape(m)))
 
 
@@ -100,7 +96,7 @@ def _translate(imgs: np.ndarray, dy, dx) -> np.ndarray:
     return _warp(imgs, _stack((1.0, 0.0, 0.0, 1.0, dy, dx), np.broadcast_shapes(np.shape(dy), np.shape(dx))))
 
 
-def _t_identity(img, m, plan):
+def _t_identity(img, m, u):
     return img
 
 
@@ -120,29 +116,24 @@ _t_shear_x = Warp(lambda m, shape: (1.0, 0.0, -m, 1.0, 0.0, 0.0))
 _t_shear_y = Warp(lambda m, shape: (1.0, -m, 0.0, 1.0, 0.0, 0.0))
 
 
-def _t_brightness(img, m, plan):
+def _t_brightness(img, m, u):
     return img + _per_image(m)
 
 
-def _t_contrast(img, m, plan):
+def _t_contrast(img, m, u):
     return (img - 0.5) * _per_image(m) + 0.5
 
 
-def _t_invert(img, m, plan):
+def _t_invert(img, m, u):
     return 1.0 - img
 
 
-def _cutout_square(shape, m, gen):
-    h, w, _ = shape
-    side = max(1, int(round(m * min(h, w))))
-    top = int(gen.integers(0, h - side + 1))
-    left = int(gen.integers(0, w - side + 1))
-    return top, left, side
-
-
-def _t_cutout(img, m, plan):
+def _t_cutout(img, m, u):
+    """Zero a square of side rint(m * min(H, W)), at least 1; u places its corner anywhere inside."""
     h, w, _ = img.shape[-3:]
-    top, left, side = (plan[..., i, None, None] for i in range(3))
+    side = np.maximum(1, np.rint(m * min(h, w)).astype(np.int64))[..., None, None]
+    top = np.floor(u[..., 0, None, None] * (h - side + 1)).astype(np.int64)
+    left = np.floor(u[..., 1, None, None] * (w - side + 1)).astype(np.int64)
     # a row is in [top, top + side) when row - top, read unsigned, is below side
     rows = (np.arange(h)[:, None] - top).view(np.uint64) < side
     cols = (np.arange(w) - left).view(np.uint64) < side
@@ -165,18 +156,18 @@ def _running_mean3(x: np.ndarray, axis: int) -> np.ndarray:
     return (np.cumsum(steps, axis=0) / 3.0).swapaxes(0, axis)
 
 
-def _t_sharpen(img, m, plan):
+def _t_sharpen(img, m, u):
     # 3 x 3 box blur per channel: along the height, then along the width
     blurred = _running_mean3(_running_mean3(img, -3), -2)
     return img + _per_image(m) * (img - blurred)
 
 
-def _t_posterize(img, m, plan):
+def _t_posterize(img, m, u):
     steps = _per_image(np.maximum(2.0, np.rint(m)) - 1.0)  # levels - 1
     return np.rint(img * steps) / steps
 
 
-def _t_solarize(img, m, plan):
+def _t_solarize(img, m, u):
     return np.where(img >= _per_image(m), 1.0 - img, img)
 
 
@@ -194,7 +185,7 @@ def default_bag(k: int = 2) -> "AugmentationBag":
             Transform("brightness", -0.3, 0.3, _t_brightness),
             Transform("contrast", 0.5, 1.5, _t_contrast),
             Transform("invert", 0.0, 1.0, _t_invert),
-            Transform("cutout", 0.1, 0.4, _t_cutout, _cutout_square),
+            Transform("cutout", 0.1, 0.4, _t_cutout),
             Transform("sharpen", 0.2, 1.0, _t_sharpen),
             Transform("posterize", 2.0, 6.0, _t_posterize),
             Transform("solarize", 0.4, 0.9, _t_solarize),
@@ -238,6 +229,8 @@ class AugmentationBag:
                     raise InvalidArgumentError(f"empty magnitude range for {t.name}: ({lo}, {hi})")
                 if t.name == "cutout" and not (0.0 <= lo and hi <= 1.0):
                     raise InvalidArgumentError(f"cutout sides are fractions of the image side, not ({lo}, {hi})")
+                if t.name == "scale" and not lo > 0.0:
+                    raise InvalidArgumentError(f"scale factors must be positive, not ({lo}, {hi})")
                 t = dataclasses.replace(t, lo=lo, hi=hi)
             out.append(t)
         return AugmentationBag(tuple(out), k=self.k)
@@ -246,14 +239,12 @@ class AugmentationBag:
 def apply_chain(images: np.ndarray, bag: AugmentationBag, gen: np.random.Generator) -> np.ndarray:
     """Chain k transforms per image, drawn with replacement, magnitudes from their ranges.
 
-    `images` is one (H, W, C) image or a (B, H, W, C) batch. Image b draws
-    from `gen` after images 0..b-1, in the order a single image would: its k
-    picks, then per pick the magnitude and any integers the transform's
-    `extra` draws. No draw depends on the pixels, so all of them are made
-    first into a (B, k) plan; then each chain position is applied to the
-    whole batch, one transform at a time over the images that picked it.
-    Every image comes out bit for bit as a chain on that image alone would
-    leave it.
+    `images` is one (H, W, C) image or a (B, H, W, C) batch, which takes
+    exactly two draws from `gen`: the (B, k) picks, then (B, k, 3) uniforms
+    u. Pick j of image b gets the magnitude lo + (hi - lo) * u[b, j, 0] from
+    its transform's range, and u[b, j, 1:] for the transform's own choices.
+    Each chain position is then applied to the whole batch, one transform at
+    a time over the images that picked it.
     """
     if np.ndim(images) not in (3, 4):
         raise InvalidArgumentError(f"expected an (H, W, C) image or a (B, H, W, C) batch, got shape {np.shape(images)}")
@@ -262,22 +253,11 @@ def apply_chain(images: np.ndarray, bag: AugmentationBag, gen: np.random.Generat
     shape = out.shape[1:]
     transforms = bag.transforms
     n_t = len(transforms)
-    draws = [(t.lo, t.hi, t.extra) for t in transforms]
-    integers, uniform = gen.integers, gen.uniform
-    picks, mags, plan = [], [], np.zeros((b, k, PLAN_INTS), dtype=np.int64)
-    for i in range(b):
-        # k scalar draws take the same numbers from the stream as one draw of size k
-        chain = [integers(0, n_t) for _ in range(k)]
-        picks += chain
-        for j, p in enumerate(chain):
-            lo, hi, extra = draws[p]
-            m = uniform(lo, hi)
-            mags.append(m)
-            if extra is not None:
-                drawn = extra(shape, m, gen)
-                plan[i, j, : len(drawn)] = drawn
-    picks = np.array(picks, dtype=np.int64).reshape(b, k)
-    mags = np.array(mags, dtype=np.float64).reshape(b, k)
+    picks = gen.integers(0, n_t, (b, k))
+    u = gen.random((b, k, 3))
+    lo = np.array([t.lo for t in transforms])
+    span = np.array([t.hi for t in transforms]) - lo
+    mags = lo[picks] + span[picks] * u[..., 0]
 
     # Per chain position, sort the images by transform, warps first: each
     # transform then runs on one slice, and one `_warp` on all warped images.
@@ -286,7 +266,7 @@ def apply_chain(images: np.ndarray, bag: AugmentationBag, gen: np.random.Generat
     for j in range(k):
         key = rank[picks[:, j]]
         order = np.argsort(key, kind="stable")
-        batch, m, pl = out[order], mags[order, j], plan[order, j]
+        batch, m, uj = out[order], mags[order, j], u[order, j, 1:]
         params = np.empty((6, b))
         start = warped = 0
         for r, count in enumerate(np.bincount(key, minlength=2 * n_t).tolist()):
@@ -298,7 +278,7 @@ def apply_chain(images: np.ndarray, bag: AugmentationBag, gen: np.random.Generat
                 params[:, s] = _stack(transforms[p].fn.inverse(m[s], shape), (count,))
                 warped = start
             else:
-                batch[s] = transforms[p].fn(batch[s], m[s], pl[s])
+                batch[s] = transforms[p].fn(batch[s], m[s], uj[s])
         if warped:
             batch[:warped] = _warp(batch[:warped], params[:, :warped])
         out[order] = batch

@@ -161,11 +161,13 @@ def cmd_finetune(args) -> int:
     state = pipeline.state_from_checkpoint(cfg, args.checkpoint, stage1_events)
     state, sigma_f = pipeline.run_stage2(cfg, state)
     save_checkpoint(args.out, state.params, state.schedule)
+    data_io.write_json(args.ledger_out, state.ledger.to_dict())
     eps, alpha = state.ledger.epsilon()
     _print_kv("sigma_f", f"{sigma_f:.9g}")
     _print_kv("epsilon_spent", f"{eps:.9g}")
     _print_kv("best_alpha", alpha)
     _print_kv("checkpoint", args.out)
+    _print_kv("ledger", args.ledger_out)
     return 0
 
 
@@ -268,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--checkpoint", required=True)
     a.add_argument("--ledger", default=None)
     a.add_argument("--out", required=True)
+    a.add_argument("--ledger-out", required=True)
     a.set_defaults(fn=cmd_finetune)
 
     a = sub.add_parser("sample", help="generate images from a checkpoint")

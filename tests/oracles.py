@@ -10,7 +10,9 @@ Some oracles are frozen references instead, kept verbatim so the vectorized
 code that replaced them can be held to bit-identity:
 `integer_log_moment_minus_one` is the accountant's former per-order closed
 form, `apply_chain` with its per-image transforms is the former one-image-at-
-a-time augmentation, `noise_draws` is the former per-example draw loop of
+a-time augmentation (the tests now drive it with a stand-in generator that
+answers its picks, magnitudes and cutout corners from the batch's two array
+draws), `noise_draws` is the former per-example draw loop of
 `diffusion._noise_draws`, and `sigmoid` and `sample` are the ancestral
 sampler as it was before its step invariants were hoisted and its sigmoid
 clamped.

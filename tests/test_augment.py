@@ -4,7 +4,7 @@ import pytest
 import dpsynth.augment as augment_mod
 import dpsynth.pipeline as pipeline_mod
 from dpsynth import InvalidArgumentError, RngSeed, default_bag
-from dpsynth.augment import AugmentationBag, Transform, _translate, apply_chain
+from dpsynth.augment import AugmentationBag, Transform, _t_cutout, _translate, apply_chain
 from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params
 from dpsynth.pipeline import WarmupConfig, warmup_train
 
@@ -73,7 +73,7 @@ class TestChainApplication:
         # With a one-element bag every chain repeats that transform.
         marks = []
 
-        def marker(img, m, gen):
+        def marker(img, m, u):
             marks.append(m)
             return img
 
@@ -126,17 +126,62 @@ EDGE_RANGES = {
 }
 
 
+class BatchDraws:
+    """Stands in for the per-image oracle's generator, answering from one batch's two draws.
+
+    It makes the draws `apply_chain` makes on `gen`: the (B, k) picks, then
+    (B, k, 3) uniforms u. The oracle asks, image after image, for its k
+    picks, then per pick for a magnitude in the pick's range, answered
+    lo + (hi - lo) * u[..., 0], and, for cutout, for a top and then a left
+    corner below n, answered floor(u[..., 1] * n) and floor(u[..., 2] * n).
+    """
+
+    def __init__(self, bag, b, gen):
+        self.bag = bag
+        self.picks = gen.integers(0, len(bag.transforms), (b, bag.k))
+        self.u = gen.random((b, bag.k, 3))
+        lo = np.array([t.lo for t in bag.transforms])
+        span = np.array([t.hi for t in bag.transforms]) - lo
+        self.mags = lo[self.picks] + span[self.picks] * self.u[..., 0]
+        self.image, self.pick, self.corner = -1, -1, 0
+
+    def integers(self, low, high, size=None):
+        if size is not None:  # the next image's picks
+            assert (low, high, size) == (0, len(self.bag.transforms), self.bag.k)
+            self.image, self.pick = self.image + 1, -1
+            return self.picks[self.image]
+        self.corner += 1  # cutout's top, then its left
+        assert low == 0 and self.corner <= 2
+        return int(np.floor(self.u[self.image, self.pick, self.corner] * high))
+
+    def uniform(self, low, high):
+        self.pick, self.corner = self.pick + 1, 0
+        t = self.bag.transforms[self.picks[self.image, self.pick]]
+        assert (low, high) == (t.lo, t.hi)
+        return float(self.mags[self.image, self.pick])
+
+    def used_up(self) -> bool:
+        return self.image == len(self.picks) - 1 and self.pick == self.bag.k - 1
+
+
+def _oracle_batch(images, bag, gen):
+    """The per-image oracle on a (B, H, W, C) batch, driven by the batch's draws on `gen`."""
+    return oracles.apply_chain_batch(images, bag, BatchDraws(bag, len(images), gen))
+
+
 def _same_as_per_image(images, bag, seed):
-    """The batched chain equals the per-image oracle, and leaves the generator where it does."""
-    batched_gen, oracle_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    """The batched chain equals the per-image oracle given the same draws, which it makes alone."""
+    batched_gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     batched = apply_chain(images, bag, batched_gen)
+    draws = BatchDraws(bag, len(images) if images.ndim == 4 else 1, twin)
     if images.ndim == 3:
-        expected = oracles.apply_chain(images, bag, oracle_gen)
+        expected = oracles.apply_chain(images, bag, draws)
     else:
-        expected = oracles.apply_chain_batch(images, bag, oracle_gen)
+        expected = oracles.apply_chain_batch(images, bag, draws)
+    assert draws.used_up()
     assert batched.shape == images.shape
     assert np.array_equal(batched, expected)
-    assert batched_gen.bit_generator.state == oracle_gen.bit_generator.state
+    assert batched_gen.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=["x".join(map(str, s)) for s in ORACLE_SHAPES])
@@ -179,7 +224,48 @@ def test_shift_past_the_border_leaves_a_zero_image():
     bag = default_bag(1).subset(["translate_x"]).with_ranges({"translate_x": (1.5, 1.5)})
     assert not np.any(apply_chain(img, bag, np.random.default_rng(1)))
     with pytest.raises(ValueError):
-        oracles.apply_chain_batch(img, bag, np.random.default_rng(1))
+        _oracle_batch(img, bag, np.random.default_rng(1))
+
+
+class RecordingGenerator:
+    """Forwards to a generator and records the name of every method called."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, []
+
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def record(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return record
+
+
+@pytest.mark.parametrize("b,k", [(1, 1), (5, 2), (32, 3)])
+def test_a_batch_takes_exactly_two_draws(b, k):
+    bag = default_bag(k)
+    gen = RecordingGenerator(np.random.default_rng(5))
+    apply_chain(np.random.default_rng(0).random((b, 8, 8, 1)), bag, gen)
+    twin = np.random.default_rng(5)
+    twin.integers(0, len(bag.transforms), (b, k))
+    twin.random((b, k, 3))
+    assert gen.calls == ["integers", "random"]
+    assert gen.gen.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(5, 7, 1), (1, 1, 1)], ids=["5x7x1", "1x1x1"])
+def test_cutout_square_stays_inside_at_the_extreme_corners(shape):
+    h, w, _ = shape
+    last = np.nextafter(1.0, 0.0)
+    for side in range(1, min(h, w) + 1):
+        for u in ((0.0, 0.0), (last, last), (0.0, last), (last, 0.0)):
+            out = _t_cutout(np.ones((1,) + shape), np.array([side / min(h, w)]), np.array([u]))
+            rows, cols = np.nonzero(out[0, :, :, 0] == 0.0)
+            assert len(rows) == side * side
+            assert rows.min() == (0 if u[0] == 0.0 else h - side)
+            assert cols.min() == (0 if u[1] == 0.0 else w - side)
 
 
 WARMUP_SHAPES = [(28, 28, 1), (8, 8, 3)]
@@ -198,7 +284,7 @@ def test_warmup_weights_equal_a_run_with_the_per_image_oracle(shape, monkeypatch
     cfg = WarmupConfig(iterations=4, batch_size=6, learning_rate=0.01, augment_k=3)
     args = (params, pixels, labels, NoiseSchedule.linear(10), cfg, RngSeed(3))
     batched = warmup_train(*args)
-    monkeypatch.setattr(pipeline_mod, "apply_chain", oracles.apply_chain_batch)
+    monkeypatch.setattr(pipeline_mod, "apply_chain", _oracle_batch)
     per_image = warmup_train(*args)
     assert batched.vector.tobytes() == per_image.vector.tobytes()
     assert batched.vector.tobytes() != params.vector.tobytes()

@@ -290,10 +290,13 @@ class TestEndToEndCli:
         kv = parse_kv(capsys.readouterr().out)
         assert kv["central_images"] == "6"
         final = tmp_path / "final.ckpt"
-        rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--ledger", str(ledger), "--out", str(final)])
+        spent = tmp_path / "spent.json"
+        rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--ledger", str(ledger), "--out", str(final),
+                   "--ledger-out", str(spent)])
         assert rc == 0
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["epsilon_spent"]) <= 8.0
+        assert kv["ledger"] == str(spent)
 
     def test_stage_commands_reproduce_run_all(self, tmp_path, toy_container, capsys):
         config = {
@@ -313,14 +316,16 @@ class TestEndToEndCli:
         run = tmp_path / "run"
         assert main(["run-all", "--config", str(cfg_path)]) == 0
         ck, ledger, final = tmp_path / "warm.ckpt", tmp_path / "ledger.json", tmp_path / "final.ckpt"
+        spent = tmp_path / "spent.json"
         assert main(["warmup", "--config", str(cfg_path), "--out", str(ck), "--ledger-out", str(ledger)]) == 0
         capsys.readouterr()
         assert main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--ledger", str(ledger),
-                     "--out", str(final)]) == 0
+                     "--out", str(final), "--ledger-out", str(spent)]) == 0
         kv = parse_kv(capsys.readouterr().out)
 
         assert ck.read_bytes() == (run / "warmup.ckpt").read_bytes()
         assert final.read_bytes() == (run / "final.ckpt").read_bytes()
+        assert spent.read_bytes() == (run / "ledger.json").read_bytes()
         stage1_events = json.loads(ledger.read_text())["events"]
         run_events = json.loads((run / "ledger.json").read_text())["events"]
         assert len(stage1_events) == 6 and stage1_events == run_events[: len(stage1_events)]
@@ -343,15 +348,15 @@ class TestEndToEndCli:
         ck, ledger = tmp_path / "warm.ckpt", tmp_path / "ledger.json"
         assert main(["warmup", "--config", str(cfg_path), "--out", str(ck), "--ledger-out", str(ledger)]) == 0
         capsys.readouterr()
-        final = tmp_path / "final.ckpt"
+        final, spent = tmp_path / "final.ckpt", tmp_path / "spent.json"
         for model, named in (({"diffusion_steps": 12}, "12 steps"), ({"hidden1": 20}, "'hidden1': 20")):
             cfg_path.write_text(json.dumps(dict(config, model=dict(config["model"], **model))))
             rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--ledger", str(ledger),
-                       "--out", str(final)])
+                       "--out", str(final), "--ledger-out", str(spent)])
             err = capsys.readouterr().err
             assert rc == 1
             assert str(ck) in err and named in err
-            assert not final.exists()
+            assert not final.exists() and not spent.exists()
 
     def test_malformed_ledger_is_a_user_error(self, tmp_path, toy_container, capsys):
         config = {
@@ -369,15 +374,15 @@ class TestEndToEndCli:
         assert main(["warmup", "--config", str(cfg_path), "--out", str(ck), "--ledger-out", str(ledger)]) == 0
         capsys.readouterr()
         text = ledger.read_text()
-        final = tmp_path / "final.ckpt"
+        final, spent = tmp_path / "final.ckpt", tmp_path / "spent.json"
         for damaged in (text[: text.index("[") + 1], '{"sigma_f": null}', text.replace('"q": 0.2', '"q": "x"')):
             ledger.write_text(damaged)
             rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--ledger", str(ledger),
-                       "--out", str(final)])
+                       "--out", str(final), "--ledger-out", str(spent)])
             err = capsys.readouterr().err
             assert rc == 1
             assert f"malformed ledger {ledger}" in err and "Traceback" not in err
-            assert not final.exists()
+            assert not final.exists() and not spent.exists()
 
     def test_finetune_without_ledger_fails_closed(self, tmp_path, toy_container, capsys):
         config = {
@@ -394,17 +399,20 @@ class TestEndToEndCli:
         ck, ledger = tmp_path / "warm.ckpt", tmp_path / "ledger.json"
         assert main(["warmup", "--config", str(cfg_path), "--out", str(ck), "--ledger-out", str(ledger)]) == 0
         capsys.readouterr()
-        final = tmp_path / "final.ckpt"
-        rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--out", str(final)])
+        final, spent = tmp_path / "final.ckpt", tmp_path / "spent.json"
+        rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--out", str(final),
+                   "--ledger-out", str(spent)])
         assert rc == 1
         assert "--ledger" in capsys.readouterr().err
-        assert not final.exists()
+        assert not final.exists() and not spent.exists()
 
         # Without central queries there is nothing to lose, so no ledger is needed.
         cfg_path.write_text(json.dumps(dict(config, central={"kind": "none"})))
-        rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--out", str(final)])
+        rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--out", str(final),
+                   "--ledger-out", str(spent)])
         assert rc == 0
         assert final.exists()
+        assert [ev["kind"] for ev in json.loads(spent.read_text())["events"]] == ["dpsgd_step"] * 3
 
 
 def test_subcommand_docs_match_the_parser():

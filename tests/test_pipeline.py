@@ -169,6 +169,7 @@ def test_eval_setting_the_data_cannot_meet_is_refused_before_any_query(tmp_path,
 BAD_AUGMENTATION = {
     "cutout_above_one": ("augment_ranges", {"cutout": [1.5, 1.5]}),
     "cutout_below_zero": ("augment_ranges", {"cutout": [-0.1, 0.2]}),
+    "scale_reaching_zero": ("augment_ranges", {"scale": [0, 0]}),
     "reversed_range": ("augment_ranges", {"rotate": [5.0, -5.0]}),
     "unknown_range_name": ("augment_ranges", {"mixup": [0.0, 1.0]}),
     "one_bound": ("augment_ranges", {"rotate": [1.0]}),
