@@ -17,9 +17,8 @@ from .accounting import (
 )
 from .augment import AugmentationBag, apply_chain, default_bag
 from .central import (
+    CentralConfig,
     CentralImageSet,
-    MeanQueryConfig,
-    ModeQueryConfig,
     clip_rows,
     mode_from_noisy_histogram,
     pixel_histogram,

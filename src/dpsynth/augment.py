@@ -225,6 +225,8 @@ class AugmentationBag:
         for t in self.transforms:
             if t.name in ranges:
                 lo, hi = (float(v) for v in ranges[t.name])
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise InvalidArgumentError(f"magnitude range for {t.name} must be finite, not ({lo}, {hi})")
                 if not lo <= hi:
                     raise InvalidArgumentError(f"empty magnitude range for {t.name}: ({lo}, {hi})")
                 if t.name == "cutout" and not (0.0 <= lo and hi <= 1.0):

@@ -22,43 +22,47 @@ from .accounting import MechanismEvent
 from .core import InvalidArgumentError, LabeledDataset, RngSeed, clip_factors, gaussian_noise
 
 
-def _check_query(cfg: "MeanQueryConfig | ModeQueryConfig") -> None:
-    """The checks every central query config shares."""
-    if cfg.count < 1:
-        raise InvalidArgumentError("count must be positive")
-    if not (0.0 < cfg.sampling_rate <= 1.0):
-        raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {cfg.sampling_rate}")
-    if cfg.noise_scale < 0.0:
-        raise InvalidArgumentError("noise scale must be non-negative")
+# Pixel range upper bound of every mode histogram: pixels are normalized to [0, 1].
+P_MAX = 1.0
 
 
 @dataclass(frozen=True)
-class MeanQueryConfig:
-    count: int           # number of central images to query
-    sampling_rate: float
-    noise_scale: float
-    norm_bound: float    # L2 clip bound on each sampled image
+class CentralConfig:
+    """One central query stage: which query, how many, and its privacy parameters.
+
+    Every field is checked on construction, whatever the kind, so a config
+    that would release an uncharged or unbounded query cannot be built. A
+    zero noise scale would release noise-free aggregates of sensitive images
+    with no finite guarantee, so it is refused rather than left uncharged.
+    """
+
+    kind: str = "mean"  # "mean" | "mode" | "none"
+    count: int = 50
+    sampling_rate: float = 0.1
+    noise_scale: float = 5.0
+    norm_bound: Optional[float] = None  # None -> sqrt(H*W*C), the pixel-range bound
+    bins: int = 2
+    per_label: bool = True
+    parallel_accounting: bool = False
 
     def __post_init__(self) -> None:
-        _check_query(self)
-        if self.norm_bound <= 0.0:
-            raise InvalidArgumentError("norm bound must be positive")
+        if self.kind not in ("mean", "mode", "none"):
+            raise InvalidArgumentError(f"kind must be mean, mode or none, got {self.kind!r}")
+        if not self.count >= 1:
+            raise InvalidArgumentError(f"count must be at least 1, got {self.count}")
+        if not 0.0 < self.sampling_rate <= 1.0:
+            raise InvalidArgumentError(f"sampling_rate must be in (0, 1], got {self.sampling_rate}")
+        if not (self.noise_scale > 0.0 and math.isfinite(self.noise_scale)):
+            raise InvalidArgumentError(f"noise_scale must be positive and finite, got {self.noise_scale}")
+        if self.norm_bound is not None and not (self.norm_bound > 0.0 and math.isfinite(self.norm_bound)):
+            raise InvalidArgumentError(f"norm_bound must be positive and finite when set, got {self.norm_bound}")
+        if not self.bins >= 2:
+            raise InvalidArgumentError(f"bins must be at least 2, got {self.bins}")
 
 
-@dataclass(frozen=True)
-class ModeQueryConfig:
-    count: int
-    sampling_rate: float
-    noise_scale: float
-    bins: int
-    p_max: float = 1.0   # pixel range upper bound; 1.0 after [0,1] normalization
-
-    def __post_init__(self) -> None:
-        _check_query(self)
-        if self.bins < 2:
-            raise InvalidArgumentError("need at least 2 histogram bins")
-        if self.p_max <= 0.0:
-            raise InvalidArgumentError("p_max must be positive")
+def _mean_norm_bound(cfg: CentralConfig, ds: LabeledDataset) -> float:
+    """The mean query's L2 clip bound: the configured one, or sqrt(H*W*C) for pixels in [0, 1]."""
+    return cfg.norm_bound if cfg.norm_bound is not None else math.sqrt(ds.pixels.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,23 +124,14 @@ def mean_aggregate(pixels: np.ndarray, indices: np.ndarray, norm_bound: float, e
     return clip_rows(pixels[indices], norm_bound).sum(axis=0) / expected_batch
 
 
-def query_mean_image(
-    ds: LabeledDataset, cfg: MeanQueryConfig, rng: RngSeed
-) -> tuple[np.ndarray, Optional[MechanismEvent]]:
-    """One noisy mean image, a flat (H*W*C,) vector, plus the mechanism event to charge.
-
-    A zero noise scale is allowed for debugging but carries no finite privacy
-    guarantee, so no event is emitted for it.
-    """
+def query_mean_image(ds: LabeledDataset, cfg: CentralConfig, rng: RngSeed) -> tuple[np.ndarray, MechanismEvent]:
+    """One noisy mean image, a flat (H*W*C,) vector, plus the mechanism event to charge."""
     expected_batch = cfg.sampling_rate * len(ds)
+    bound = _mean_norm_bound(cfg, ds)
     idx = poisson_subsample(len(ds), cfg.sampling_rate, rng.derive(0))
-    mean = mean_aggregate(ds.pixels, idx, cfg.norm_bound, expected_batch)
-    sensitivity = cfg.norm_bound / expected_batch
-    noisy = mean + gaussian_noise(mean.shape, cfg.noise_scale * sensitivity, rng.derive(1))
-    event = None
-    if cfg.noise_scale > 0.0:
-        event = MechanismEvent("mean_query", q=cfg.sampling_rate, sigma=cfg.noise_scale)
-    return noisy, event
+    mean = mean_aggregate(ds.pixels, idx, bound, expected_batch)
+    noisy = mean + gaussian_noise(mean.shape, cfg.noise_scale * (bound / expected_batch), rng.derive(1))
+    return noisy, MechanismEvent("mean_query", q=cfg.sampling_rate, sigma=cfg.noise_scale)
 
 
 def pixel_histogram(values: np.ndarray, bins: int, p_max: float) -> np.ndarray:
@@ -185,26 +180,20 @@ def mode_from_noisy_histogram(noisy_counts: np.ndarray, bins: int, p_max: float)
     return (2.0 * k_star - 1.0) / 2.0 * p_max / bins
 
 
-def query_mode_image(
-    ds: LabeledDataset, cfg: ModeQueryConfig, rng: RngSeed
-) -> tuple[np.ndarray, Optional[MechanismEvent]]:
+def query_mode_image(ds: LabeledDataset, cfg: CentralConfig, rng: RngSeed) -> tuple[np.ndarray, MechanismEvent]:
     """One noisy mode image, a flat (H*W*C,) vector, plus the mechanism event to charge.
 
     Gaussian noise with variance (W H C) sigma^2 is added to every histogram
     cell (the all-pixel histogram has L2 sensitivity sqrt(W H C)); each
-    pixel's value is the midpoint of its noisiest-count bin. A zero noise
-    scale is allowed for debugging and emits no event.
+    pixel's value is the midpoint of its noisiest-count bin.
     """
     idx = poisson_subsample(len(ds), cfg.sampling_rate, rng.derive(0))
-    hist = stacked_pixel_histogram(ds.pixels[idx], cfg.bins, cfg.p_max)
+    hist = stacked_pixel_histogram(ds.pixels[idx], cfg.bins, P_MAX)
     noise_std = cfg.noise_scale * np.sqrt(ds.pixels.shape[1])
     noisy = hist + gaussian_noise(hist.shape, noise_std, rng.derive(1))
     k_star = np.argmax(noisy, axis=1) + 1
-    modes = (2.0 * k_star - 1.0) / 2.0 * cfg.p_max / cfg.bins
-    event = None
-    if cfg.noise_scale > 0.0:
-        event = MechanismEvent("mode_query", q=cfg.sampling_rate, sigma=cfg.noise_scale)
-    return modes, event
+    modes = (2.0 * k_star - 1.0) / 2.0 * P_MAX / cfg.bins
+    return modes, MechanismEvent("mode_query", q=cfg.sampling_rate, sigma=cfg.noise_scale)
 
 
 def _split_count(total: int, groups: int) -> list[int]:
@@ -214,35 +203,28 @@ def _split_count(total: int, groups: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(groups)]
 
 
-def query_central_set(
-    ds: LabeledDataset,
-    kind: str,
-    cfg: MeanQueryConfig | ModeQueryConfig,
-    rng: RngSeed,
-    per_label: bool = False,
-    parallel_accounting: bool = False,
-) -> CentralImageSet:
+def query_central_set(ds: LabeledDataset, cfg: CentralConfig, rng: RngSeed) -> CentralImageSet:
     """`cfg.count` central images, optionally split across label subsets.
 
-    With per_label, the count is divided evenly over the disjoint label
+    With `cfg.per_label`, the count is divided evenly over the disjoint label
     subsets (remainder round-robin) and each subset is queried independently;
-    images carry their subset's label. parallel_accounting additionally tags
-    the emitted events with their partition so the accountant composes them
-    in parallel; the default charges every query sequentially, which is the
-    conservative reading.
+    images carry their subset's label. `cfg.parallel_accounting` additionally
+    tags the emitted events with their partition so the accountant composes
+    them in parallel; otherwise every query is charged sequentially, which is
+    the conservative reading.
     """
-    if kind not in ("mean", "mode"):
-        raise InvalidArgumentError(f"unknown central image kind {kind!r}")
-    query = query_mean_image if kind == "mean" else query_mode_image
+    if cfg.kind == "none":
+        raise InvalidArgumentError("kind 'none' queries no central images")
+    query = query_mean_image if cfg.kind == "mean" else query_mode_image
     # (dataset, query count, stream, accounting partition) per queried subset
-    if per_label:
+    if cfg.per_label:
         parts = ds.partition_by_label()
         if not parts:
             raise InvalidArgumentError("per-label querying requires a non-empty dataset")
         counts = _split_count(cfg.count, len(parts))
         labels = np.repeat(np.fromiter(parts, dtype=np.int64), counts)
         jobs = [
-            (sub, n, rng.derive(label), f"label={label}" if parallel_accounting else None)
+            (sub, n, rng.derive(label), f"label={label}" if cfg.parallel_accounting else None)
             for (label, sub), n in zip(parts.items(), counts)
         ]
     else:
@@ -256,23 +238,22 @@ def query_central_set(
         for i in range(n):
             pixels[row], ev = query(sub, cfg, sub_rng.derive(i))
             row += 1
-            if ev is not None:
-                events.append(dataclasses.replace(ev, partition=partition))
+            events.append(dataclasses.replace(ev, partition=partition))
 
     return CentralImageSet(
         pixels=pixels,
         labels=labels,
-        kind=kind,
+        kind=cfg.kind,
         config={
             "count": cfg.count,
             "sampling_rate": cfg.sampling_rate,
             "noise_scale": cfg.noise_scale,
-            "per_label": per_label,
-            "parallel_accounting": parallel_accounting,
+            "per_label": cfg.per_label,
+            "parallel_accounting": cfg.parallel_accounting,
             **(
-                {"norm_bound": cfg.norm_bound}
-                if isinstance(cfg, MeanQueryConfig)
-                else {"bins": cfg.bins, "p_max": cfg.p_max}
+                {"norm_bound": _mean_norm_bound(cfg, ds)}
+                if cfg.kind == "mean"
+                else {"bins": cfg.bins, "p_max": P_MAX}
             ),
         },
         events=tuple(events),

@@ -23,6 +23,7 @@ from .accounting import (
     compose,
     rdp_to_dp,
 )
+from .central import CentralConfig, query_central_set
 from .core import InvalidArgumentError, RngSeed
 from .diffusion import load_checkpoint, save_checkpoint
 from .metrics import denoising_loss_estimate, train_probe_classifier
@@ -52,11 +53,13 @@ def _parse_json_file(path, what: str, parse):
 
 def _parse_spec(raw: dict):
     fine = raw.get("fine_tune")
+    if fine and (isinstance(fine["steps"], bool) or not isinstance(fine["steps"], int)):
+        raise InvalidArgumentError(f"fine_tune.steps must be an integer, got {fine['steps']!r}")
     return (
         float(raw["target_epsilon"]),
         float(raw["delta"]),
         [MechanismEvent.from_dict(d) for d in raw.get("events", [])],
-        (int(fine["steps"]), float(fine["sampling_rate"])) if fine else None,
+        (fine["steps"], float(fine["sampling_rate"])) if fine else None,
     )
 
 
@@ -105,10 +108,10 @@ def cmd_make_toy(args) -> int:
 
 
 def cmd_query_central(args) -> int:
-    ds = data_io.load_container(args.data).to_dataset()
     # Every query option has the name of its CentralConfig field.
-    ccfg = pipeline.CentralConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(pipeline.CentralConfig)})
-    central = pipeline.query_central(ccfg, ds, RngSeed(args.seed).derive(1))
+    cfg = CentralConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(CentralConfig)})
+    ds = data_io.load_container(args.data).to_dataset()
+    central = query_central_set(ds, cfg, RngSeed(args.seed).derive(1))
     pipeline.save_central(args.out, central, ds.image_shape)
     if args.events_out:
         data_io.write_json(args.events_out, [ev.to_dict() for ev in central.events])

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
@@ -28,7 +27,7 @@ import numpy as np
 from . import data_io
 from .accounting import MechanismEvent, PrivacySpec, calibrate_sigma_f
 from .augment import AugmentationBag, apply_chain, default_bag
-from .central import CentralImageSet, MeanQueryConfig, ModeQueryConfig, query_central_set
+from .central import CentralConfig, CentralImageSet, query_central_set
 from .core import InvalidArgumentError, LabeledDataset, RngSeed
 from .diffusion import (
     DenoiserParams,
@@ -92,18 +91,6 @@ class DatasetConfig:
     images_path: Optional[str] = None
     labels_path: Optional[str] = None
     path: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class CentralConfig:
-    kind: str = "mean"  # "mean" | "mode" | "none"
-    count: int = 50
-    sampling_rate: float = 0.1
-    noise_scale: float = 5.0
-    norm_bound: Optional[float] = None  # None -> sqrt(H*W*C), the pixel-range bound
-    bins: int = 2
-    per_label: bool = True
-    parallel_accounting: bool = False
 
 
 @dataclass(frozen=True)
@@ -186,7 +173,10 @@ class PipelineConfig:
                 _check_json_types(sections[key], value, f"{key}.")
                 if key == "warmup" and value.get("augment_names") is not None:
                     value = dict(value, augment_names=tuple(value["augment_names"]))
-                kwargs[key] = sections[key](**value)
+                try:
+                    kwargs[key] = sections[key](**value)
+                except InvalidArgumentError as exc:  # a section that checks its own fields
+                    raise ConfigError(f"{key}.{exc}") from exc
             elif key in ("seed", "output_dir"):
                 kwargs[key] = value
             else:
@@ -216,8 +206,6 @@ class PipelineConfig:
             raise ConfigError("idx datasets need images_path and labels_path")
         if self.dataset.source == "container" and not self.dataset.path:
             raise ConfigError("container datasets need path")
-        if self.central.kind not in ("mean", "mode", "none"):
-            raise ConfigError(f"unknown central kind {self.central.kind!r}")
         if self.privacy.epsilon <= 0 or not (0 < self.privacy.delta < 1):
             raise ConfigError("privacy target requires epsilon > 0 and delta in (0, 1)")
         for name, v in (
@@ -242,16 +230,6 @@ class PipelineConfig:
         warmup_bag(self.warmup)
         if not (0 < self.finetune.sampling_rate <= 1):
             raise ConfigError("finetune.sampling_rate must be in (0, 1]")
-        if self.central.kind != "none":
-            if not (0 < self.central.sampling_rate <= 1):
-                raise ConfigError("central.sampling_rate must be in (0, 1]")
-            if self.central.count < 1:
-                raise ConfigError("central.count must be at least 1")
-            # a zero scale would release noise-free images and charge nothing
-            if not self.central.noise_scale > 0:
-                raise ConfigError("central.noise_scale must be positive")
-            if self.central.kind == "mode" and self.central.bins < 2:
-                raise ConfigError("central.bins must be at least 2 for mode queries")
         if self.eval.feature_kind not in FEATURE_KINDS:
             raise ConfigError(f"eval.feature_kind must be one of {FEATURE_KINDS}, got {self.eval.feature_kind!r}")
         if not (1 <= self.eval.feature_dim <= MAX_FEATURE_DIM):
@@ -288,18 +266,6 @@ def build_manifest(cfg: ModelConfig, shape: tuple[int, int, int], num_classes: i
 def build_schedule(cfg: ModelConfig) -> NoiseSchedule:
     return NoiseSchedule.linear(
         cfg.diffusion_steps, cfg.beta_start, cfg.beta_end, cfg.reference_steps
-    )
-
-
-def query_central(cfg: CentralConfig, ds: LabeledDataset, rng: RngSeed) -> CentralImageSet:
-    """The central images of a stage-one config; the mean's clip bound defaults to sqrt(H*W*C)."""
-    if cfg.kind == "mean":
-        bound = cfg.norm_bound if cfg.norm_bound is not None else math.sqrt(math.prod(ds.image_shape))
-        qcfg = MeanQueryConfig(cfg.count, cfg.sampling_rate, cfg.noise_scale, bound)
-    else:
-        qcfg = ModeQueryConfig(cfg.count, cfg.sampling_rate, cfg.noise_scale, cfg.bins)
-    return query_central_set(
-        ds, cfg.kind, qcfg, rng, per_label=cfg.per_label, parallel_accounting=cfg.parallel_accounting
     )
 
 
@@ -409,7 +375,7 @@ def run_stage1(cfg: PipelineConfig, state: RunState) -> tuple[RunState, Optional
     """Query central images (charged to the ledger) and pre-train on them."""
     if cfg.central.kind == "none":
         return state, None
-    central = query_central(cfg.central, state.ds, state.rng.derive(1))
+    central = query_central_set(state.ds, cfg.central, state.rng.derive(1))
     state.ledger.record(*central.events)
     state.ledger.assert_within_budget()
 

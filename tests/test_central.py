@@ -1,12 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dpsynth import (
+    CentralConfig,
     CentralImageSet,
     InvalidArgumentError,
     LabeledDataset,
-    MeanQueryConfig,
-    ModeQueryConfig,
     RngSeed,
     clip_rows,
     mode_from_noisy_histogram,
@@ -66,6 +70,54 @@ class TestClipImage:
         assert np.all(out == 0.0)
 
 
+# (field, a value its check refuses)
+BAD_CENTRAL_FIELDS = [
+    ("kind", "median"),
+    ("count", 0),
+    ("sampling_rate", 0.0),
+    ("sampling_rate", 1.5),
+    ("noise_scale", 0.0),
+    ("noise_scale", -1.0),
+    ("noise_scale", float("inf")),
+    ("noise_scale", float("nan")),
+    ("norm_bound", 0.0),
+    ("norm_bound", float("inf")),
+    ("bins", 1),
+]
+
+
+class TestCentralConfig:
+    @pytest.mark.parametrize("kind", ["mean", "mode", "none"])
+    @pytest.mark.parametrize("name,value", BAD_CENTRAL_FIELDS)
+    def test_every_field_is_checked_whatever_the_kind(self, kind, name, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} "):
+            CentralConfig(**{"kind": kind, name: value})
+
+    def test_none_kind_queries_nothing(self, small_ds):
+        with pytest.raises(InvalidArgumentError, match="none"):
+            query_central_set(small_ds, CentralConfig(kind="none"), RngSeed(1))
+
+    def test_zero_noise_is_refused_under_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "from dpsynth.central import CentralConfig\n"
+            "from dpsynth.core import InvalidArgumentError\n"
+            "try:\n"
+            "    CentralConfig(noise_scale=0)\n"
+            "except InvalidArgumentError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "noise_scale must be positive and finite, got 0"
+
+
 def _uniform_dataset(value: float, n: int = 8, side: int = 4) -> LabeledDataset:
     pixels = np.full((n, side * side), value)
     return LabeledDataset.from_arrays(pixels, [0] * n, 1, (side, side, 1))
@@ -73,18 +125,19 @@ def _uniform_dataset(value: float, n: int = 8, side: int = 4) -> LabeledDataset:
 
 class TestMeanQuery:
     def test_noiseless_full_population_identity(self):
+        # As near noiseless as a config can be built: a zero scale is refused.
         ds = _uniform_dataset(0.5)
-        cfg = MeanQueryConfig(count=1, sampling_rate=1.0, noise_scale=0.0, norm_bound=28.0)
+        cfg = CentralConfig(kind="mean", count=1, sampling_rate=1.0, noise_scale=1e-9, norm_bound=28.0)
         img, event = query_mean_image(ds, cfg, RngSeed(3))
-        assert event is None
-        assert np.allclose(img, 0.5, atol=1e-12)
+        assert (event.kind, event.q, event.sigma) == ("mean_query", 1.0, 1e-9)
+        assert np.allclose(img, 0.5, atol=1e-6)
 
     def test_sensitivity_arithmetic(self):
         # norm bound 28 over expected batch 6000
         assert 28.0 / 6000.0 == pytest.approx(4.6667e-3, rel=1e-4)
 
     def test_event_emitted_with_config_parameters(self, small_ds):
-        cfg = MeanQueryConfig(count=1, sampling_rate=0.25, noise_scale=4.0, norm_bound=3.0)
+        cfg = CentralConfig(kind="mean", count=1, sampling_rate=0.25, noise_scale=4.0, norm_bound=3.0)
         _, event = query_mean_image(small_ds, cfg, RngSeed(3))
         assert event.kind == "mean_query"
         assert event.q == 0.25
@@ -115,7 +168,7 @@ class TestMeanQuery:
 
     def test_empty_sample_yields_pure_noise(self):
         ds = _uniform_dataset(1.0, n=4)
-        cfg = MeanQueryConfig(count=1, sampling_rate=1e-9, noise_scale=2.0, norm_bound=4.0)
+        cfg = CentralConfig(kind="mean", count=1, sampling_rate=1e-9, noise_scale=2.0, norm_bound=4.0)
         img, event = query_mean_image(ds, cfg, RngSeed(11))
         sensitivity = 4.0 / (1e-9 * 4)
         # noise at that scale dwarfs any residual signal
@@ -169,17 +222,18 @@ class TestModeQuery:
         assert np.sqrt(28 * 28 * 1) == 28.0
 
     def test_noiseless_binary_dataset_maps_to_midpoints(self):
+        # As near noiseless as a config can be built: a zero scale is refused.
         pixels = np.zeros((6, 16))
         pixels[:, :8] = 1.0
         ds = LabeledDataset.from_arrays(pixels, [0] * 6, 1, (4, 4, 1))
-        cfg = ModeQueryConfig(count=1, sampling_rate=1.0, noise_scale=0.0, bins=2)
+        cfg = CentralConfig(kind="mode", count=1, sampling_rate=1.0, noise_scale=1e-9, bins=2)
         img, event = query_mode_image(ds, cfg, RngSeed(5))
-        assert event is None
+        assert (event.kind, event.q, event.sigma) == ("mode_query", 1.0, 1e-9)
         assert np.allclose(img[:8], 0.75)
         assert np.allclose(img[8:], 0.25)
 
     def test_output_on_midpoint_lattice(self, small_ds):
-        cfg = ModeQueryConfig(count=1, sampling_rate=0.5, noise_scale=3.0, bins=8)
+        cfg = CentralConfig(kind="mode", count=1, sampling_rate=0.5, noise_scale=3.0, bins=8)
         img, _ = query_mode_image(small_ds, cfg, RngSeed(6))
         lattice = (2 * np.arange(1, 9) - 1) / 2.0 * (1.0 / 8)
         assert np.all(np.isin(img, lattice))
@@ -200,10 +254,10 @@ class TestModeQuery:
 
 class TestQueryCentralSet:
     def test_per_label_split_and_partitions(self, toy_ds):
-        cfg = MeanQueryConfig(count=50, sampling_rate=0.5, noise_scale=5.0, norm_bound=8.0)
-        out = query_central_set(
-            toy_ds, "mean", cfg, RngSeed(1), per_label=True, parallel_accounting=True
+        cfg = CentralConfig(
+            kind="mean", count=50, sampling_rate=0.5, noise_scale=5.0, norm_bound=8.0, parallel_accounting=True
         )
+        out = query_central_set(toy_ds, cfg, RngSeed(1))
         assert len(out) == 50
         labels = np.asarray(out.labels)
         for cls in range(10):
@@ -212,45 +266,45 @@ class TestQueryCentralSet:
         assert partitions == {f"label={l}" for l in range(10)}
 
     def test_global_accounting_has_no_partitions(self, toy_ds):
-        cfg = MeanQueryConfig(count=10, sampling_rate=0.5, noise_scale=5.0, norm_bound=8.0)
-        out = query_central_set(toy_ds, "mean", cfg, RngSeed(1), per_label=True)
+        cfg = CentralConfig(kind="mean", count=10, sampling_rate=0.5, noise_scale=5.0, norm_bound=8.0)
+        out = query_central_set(toy_ds, cfg, RngSeed(1))
         assert all(ev.partition is None for ev in out.events)
         assert len(out.events) == 10
 
     def test_remainder_round_robin(self, toy_ds):
-        cfg = MeanQueryConfig(count=13, sampling_rate=0.5, noise_scale=5.0, norm_bound=8.0)
-        out = query_central_set(toy_ds, "mean", cfg, RngSeed(1), per_label=True)
+        cfg = CentralConfig(kind="mean", count=13, sampling_rate=0.5, noise_scale=5.0, norm_bound=8.0)
+        out = query_central_set(toy_ds, cfg, RngSeed(1))
         counts = np.bincount(np.asarray(out.labels), minlength=10)
         assert counts.sum() == 13
         assert np.array_equal(np.sort(counts)[::-1], [2, 2, 2, 1, 1, 1, 1, 1, 1, 1])
 
     def test_single_query_base_case(self, small_ds):
-        cfg = ModeQueryConfig(count=1, sampling_rate=0.5, noise_scale=2.0, bins=4)
-        out = query_central_set(small_ds, "mode", cfg, RngSeed(2))
+        cfg = CentralConfig(kind="mode", count=1, sampling_rate=0.5, noise_scale=2.0, bins=4, per_label=False)
+        out = query_central_set(small_ds, cfg, RngSeed(2))
         assert len(out) == 1
         assert out.labels is None
         assert len(out.events) == 1
 
     def test_determinism(self, toy_ds):
-        cfg = MeanQueryConfig(count=6, sampling_rate=0.3, noise_scale=5.0, norm_bound=8.0)
-        a = query_central_set(toy_ds, "mean", cfg, RngSeed(9), per_label=True)
-        b = query_central_set(toy_ds, "mean", cfg, RngSeed(9), per_label=True)
+        cfg = CentralConfig(kind="mean", count=6, sampling_rate=0.3, noise_scale=5.0, norm_bound=8.0)
+        a = query_central_set(toy_ds, cfg, RngSeed(9))
+        b = query_central_set(toy_ds, cfg, RngSeed(9))
         assert np.array_equal(a.pixels, b.pixels)
         assert np.array_equal(a.labels, b.labels)
 
     def test_events_match_repetitions_invariant(self, small_ds):
-        cfg = MeanQueryConfig(count=7, sampling_rate=0.4, noise_scale=3.0, norm_bound=2.0)
-        out = query_central_set(small_ds, "mean", cfg, RngSeed(2))
+        cfg = CentralConfig(kind="mean", count=7, sampling_rate=0.4, noise_scale=3.0, norm_bound=2.0, per_label=False)
+        out = query_central_set(small_ds, cfg, RngSeed(2))
         assert len(out.events) == 7
         assert all(ev.q == 0.4 and ev.sigma == 3.0 for ev in out.events)
 
     def test_overflowing_noise_is_refused(self, small_ds):
         # noise std = 1e300 * (1e300 / expected batch) overflows to inf
-        cfg = MeanQueryConfig(count=2, sampling_rate=1.0, noise_scale=1e300, norm_bound=1e300)
+        cfg = CentralConfig(kind="mean", count=2, sampling_rate=1.0, noise_scale=1e300, norm_bound=1e300, per_label=False)
         img, _ = query_mean_image(small_ds, cfg, RngSeed(3))
         assert np.isinf(img).all()
         with pytest.raises(InvalidArgumentError, match="finite"):
-            query_central_set(small_ds, "mean", cfg, RngSeed(3))
+            query_central_set(small_ds, cfg, RngSeed(3))
 
     def test_non_finite_pixels_rejected(self):
         pixels = np.zeros((3, 4))

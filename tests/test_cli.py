@@ -63,6 +63,24 @@ class TestMakeToyAndQuery:
         assert central.kind == "central"
         assert central.provenance["config"]["noise_scale"] == 5.0
 
+    def test_zero_noise_query_is_refused_and_writes_nothing(self, toy_container, tmp_path, capsys):
+        out, events = tmp_path / "central.dpc", tmp_path / "events.json"
+        rc = main(
+            [
+                "query-central",
+                "--data", str(toy_container),
+                "--kind", "mean",
+                "--count", "1",
+                "--sampling-rate", "1.0",
+                "--noise-scale", "0",
+                "--out", str(out),
+                "--events-out", str(events),
+            ]
+        )
+        assert rc == 1
+        assert "noise_scale" in capsys.readouterr().err
+        assert not out.exists() and not events.exists()
+
 
 def _drop_num_params(data: bytes) -> bytes:
     (hlen,) = struct.unpack_from("<I", data, 8)
@@ -153,6 +171,18 @@ MALFORMED_SPECS = {
     "truncated": '{"events": [',
     "no_target": '{"delta": 1e-05, "events": []}',
     "text_rate": '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": "x", "sigma": 5.0}]}',
+    "numeric_text_rate": '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": "0.1", "sigma": 5.0}]}',
+    "bool_sigma": '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": 0.1, "sigma": true}]}',
+    "fractional_repetitions": (
+        '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": 0.1, "sigma": 5.0, "repetitions": 2.9}]}'
+    ),
+    "bool_repetitions": (
+        '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": 0.1, "sigma": 5.0, "repetitions": true}]}'
+    ),
+    "numeric_partition": (
+        '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": 0.1, "sigma": 5.0, "partition": 3}]}'
+    ),
+    "fractional_steps": '{"target_epsilon": 2.0, "delta": 1e-05, "fine_tune": {"steps": 300.5, "sampling_rate": 0.1}}',
     "not_an_object": "[1, 2]",
 }
 
@@ -375,7 +405,17 @@ class TestEndToEndCli:
         capsys.readouterr()
         text = ledger.read_text()
         final, spent = tmp_path / "final.ckpt", tmp_path / "spent.json"
-        for damaged in (text[: text.index("[") + 1], '{"sigma_f": null}', text.replace('"q": 0.2', '"q": "x"')):
+        damages = (
+            text[: text.index("[") + 1],
+            '{"sigma_f": null}',
+            text.replace('"q": 0.2', '"q": "x"'),
+            text.replace('"q": 0.2', '"q": "0.2"'),
+            text.replace('"repetitions": 1', '"repetitions": 2.9'),
+            text.replace('"repetitions": 1', '"repetitions": true'),
+            text.replace('"partition": null', '"partition": 3'),
+        )
+        assert all(damaged != text for damaged in damages)
+        for damaged in damages:
             ledger.write_text(damaged)
             rc = main(["finetune", "--config", str(cfg_path), "--checkpoint", str(ck), "--ledger", str(ledger),
                        "--out", str(final), "--ledger-out", str(spent)])
