@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import BudgetExhaustedError, InvalidArgumentError, NumericError
+from .core import BudgetExhaustedError, InvalidArgumentError, NumericError, json_number
 
 EVENT_KINDS = ("mean_query", "mode_query", "dpsgd_step")
 
@@ -346,15 +346,13 @@ class MechanismEvent:
     @classmethod
     def from_dict(cls, d: dict) -> "MechanismEvent":
         """The event a JSON object describes; a value of the wrong JSON type is refused, never coerced."""
-        for key in ("q", "sigma"):
-            if isinstance(d[key], bool) or not isinstance(d[key], (int, float)):
-                raise InvalidArgumentError(f"event {key} must be a number, got {d[key]!r}")
+        q, sigma = json_number(d["q"], "event q"), json_number(d["sigma"], "event sigma")
         repetitions, partition = d.get("repetitions", 1), d.get("partition")
         if isinstance(repetitions, bool) or not isinstance(repetitions, int):
             raise InvalidArgumentError(f"event repetitions must be an integer, got {repetitions!r}")
         if partition is not None and not isinstance(partition, str):
             raise InvalidArgumentError(f"event partition must be a string or null, got {partition!r}")
-        return cls(d["kind"], float(d["q"]), float(d["sigma"]), repetitions, partition)
+        return cls(d["kind"], q, sigma, repetitions, partition)
 
 
 def compose(events: Sequence[MechanismEvent], orders: Sequence[float] | None = None) -> RdpCurve:

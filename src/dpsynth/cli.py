@@ -24,7 +24,7 @@ from .accounting import (
     rdp_to_dp,
 )
 from .central import CentralConfig, query_central_set
-from .core import InvalidArgumentError, RngSeed
+from .core import InvalidArgumentError, RngSeed, json_number
 from .diffusion import load_checkpoint, save_checkpoint
 from .metrics import denoising_loss_estimate, train_probe_classifier
 from .pipeline import ConfigError, PipelineConfig
@@ -53,13 +53,15 @@ def _parse_json_file(path, what: str, parse):
 
 def _parse_spec(raw: dict):
     fine = raw.get("fine_tune")
+    if fine is not None and not isinstance(fine, dict):
+        raise InvalidArgumentError(f"fine_tune must be an object, got {fine!r}")
     if fine and (isinstance(fine["steps"], bool) or not isinstance(fine["steps"], int)):
         raise InvalidArgumentError(f"fine_tune.steps must be an integer, got {fine['steps']!r}")
     return (
-        float(raw["target_epsilon"]),
-        float(raw["delta"]),
+        json_number(raw["target_epsilon"], "target_epsilon"),
+        json_number(raw["delta"], "delta"),
         [MechanismEvent.from_dict(d) for d in raw.get("events", [])],
-        (fine["steps"], float(fine["sampling_rate"])) if fine else None,
+        (fine["steps"], json_number(fine["sampling_rate"], "fine_tune.sampling_rate")) if fine else None,
     )
 
 

@@ -107,6 +107,13 @@ def frozen_copy(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def json_number(value, name: str) -> float:
+    """A JSON number as a float; text and booleans are refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def gaussian_noise(shape: Sequence[int] | int, std: float, rng: RngSeed) -> np.ndarray:
     """I.i.d. N(0, std^2) samples; std == 0 returns exact zeros."""
     if std < 0:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -33,7 +34,7 @@ from .core import InvalidArgumentError, RngSeed, frozen_copy
 from .data_io import read_framed, write_framed
 
 CHECKPOINT_MAGIC = b"DPSYNCK1"
-NOISE_BLOCK_BYTES = 2 * 1024 * 1024  # the sampler's noise buffer, unless one step of n chains needs more
+NOISE_BLOCK_BYTES = 2 * 1024 * 1024  # the sampler's two noise blocks, unless two steps of n chains need more
 
 
 @dataclass(frozen=True)
@@ -518,11 +519,13 @@ def sample(
 
     Returns an (n, H*W*C) matrix. Each of the n chains draws from its own
     derived stream, one vector per step, so sample i is reproducible
-    independent of n. The draws are made K steps at a time into a buffer of
-    at most max(NOISE_BLOCK_BYTES, n*D*8) bytes, which changes no value.
-    Runs exactly one denoiser evaluation per step per image; the final
-    output is the clean estimate from step 1, clamped to the pixel range
-    [0, 1].
+    independent of n. The draws are made K steps at a time into two blocks
+    of at most max(NOISE_BLOCK_BYTES, 2*n*D*8) bytes together: while the
+    calling thread runs the steps of one block, a worker thread fills the
+    other with the next K steps' draws. Every chain still draws the same
+    numbers in the same order, so no value changes. Runs exactly one
+    denoiser evaluation per step per image; the final output is the clean
+    estimate from step 1, clamped to the pixel range [0, 1].
     """
     if n < 0:
         raise InvalidArgumentError("sample count must be non-negative")
@@ -543,28 +546,48 @@ def sample(
     temb = time_embedding(np.arange(1, T + 1), m.time_dim)
     gens = [RngSeed(rng.seed, int(s)).generator() for s in rng.derive_many(np.arange(n))]
     # A chain's T noise vectors come K at a time: one draw of K*D normals is
-    # the same stream as K draws of D each, in 1/K of the calls.
-    K = max(1, min(T, NOISE_BLOCK_BYTES // (n * m.data_dim * 8)))
-    block = np.empty((n, K, m.data_dim))
+    # the same stream as K draws of D each, in 1/K of the calls. Block b
+    # lives in blocks[b % 2]. Both are allocated on this thread: memory a
+    # worker allocates stays in its own malloc arena after it is freed.
+    K = max(1, min(T, (NOISE_BLOCK_BYTES // 2) // (n * m.data_dim * 8)))
+    num_blocks = -(-T // K)
+    blocks = np.empty((2, n, K, m.data_dim))
+
+    def fill(b: int) -> None:
+        """Draw block b's steps of every chain into blocks[b % 2]."""
+        rows = min(K, T - b * K)
+        for gen, chain in zip(gens, blocks[b % 2]):
+            gen.standard_normal(out=chain[:rows])
+
+    pending = None
 
     def noise(step: int) -> np.ndarray:
-        """The (n, D) noise of the chain's step-th draw (0 is x_T), refilling the block every K steps."""
-        j = step % K
-        if j == 0:
-            rows = min(K, T - step)
-            for gen, chain in zip(gens, block):
-                gen.standard_normal(out=chain[:rows])
-        return block[:, j]
+        """The (n, D) noise of the chain's step-th draw (0 is x_T).
 
-    x = noise(0).copy()  # x_T
-    x0_hat = x
-    for t in range(T, 0, -1):
-        out, _ = _forward_cached(views, m, x, temb[t - 1], *lab_rows)
-        ab_t = abars[t - 1]
-        x0_hat = (x - math.sqrt(1.0 - ab_t) * out) / math.sqrt(ab_t)
-        if t > 1:
-            ab_prev = abars[t - 2]
-            x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * noise(T - t + 1)
+        On entering block b, wait for its fill (block 0 is filled here), then
+        start filling block b + 1 into the buffer block b - 1 has released.
+        """
+        nonlocal pending
+        b, j = divmod(step, K)
+        if j == 0:
+            if b == 0:
+                fill(0)
+            else:
+                pending.result()
+            pending = pool.submit(fill, b + 1) if b + 1 < num_blocks else None
+        return blocks[b % 2, :, j]
+
+    # Leaving the block, also by an error, joins the worker.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        x = noise(0).copy()  # x_T
+        x0_hat = x
+        for t in range(T, 0, -1):
+            out, _ = _forward_cached(views, m, x, temb[t - 1], *lab_rows)
+            ab_t = abars[t - 1]
+            x0_hat = (x - math.sqrt(1.0 - ab_t) * out) / math.sqrt(ab_t)
+            if t > 1:
+                ab_prev = abars[t - 2]
+                x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * noise(T - t + 1)
     return np.clip(x0_hat, 0.0, 1.0)
 
 

@@ -14,6 +14,7 @@ event to the ledger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,8 +44,8 @@ class DpSgdConfig:
             raise InvalidArgumentError("learning rate must be positive")
         if self.clip_bound <= 0.0:
             raise InvalidArgumentError("clip bound must be positive")
-        if self.noise_scale < 0.0:
-            raise InvalidArgumentError("noise scale must be non-negative")
+        if not (self.noise_scale > 0.0 and math.isfinite(self.noise_scale)):
+            raise InvalidArgumentError(f"noise scale must be positive and finite, got {self.noise_scale}")
         if not (0.0 < self.sampling_rate <= 1.0):
             raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {self.sampling_rate}")
         if self.steps < 0:
@@ -68,7 +69,7 @@ def dp_step(
     cfg: DpSgdConfig,
     engine: LossEngine,
     rng: RngSeed,
-) -> tuple[DenoiserParams, Optional[MechanismEvent], StepStats]:
+) -> tuple[DenoiserParams, MechanismEvent, StepStats]:
     """One private update; an empty Poisson batch yields a pure-noise step."""
     expected_batch = cfg.expected_batch(len(ds))
     idx = poisson_subsample(len(ds), cfg.sampling_rate, rng.derive(0))
@@ -94,9 +95,7 @@ def dp_step(
     update = grad_sum / expected_batch + noise
     new_params = params.replace_vector(params.vector - cfg.learning_rate * update)
 
-    event = None
-    if cfg.noise_scale > 0.0:
-        event = MechanismEvent("dpsgd_step", q=cfg.sampling_rate, sigma=cfg.noise_scale)
+    event = MechanismEvent("dpsgd_step", q=cfg.sampling_rate, sigma=cfg.noise_scale)
     stats = StepStats(step=-1, loss=loss, batch_size=len(idx), grad_norm_quantiles=quantiles)
     return new_params, event, stats
 
@@ -131,7 +130,7 @@ def train(
     hooks = hooks or TrainHooks()
     for step in range(start_step, cfg.steps):
         params, event, stats = dp_step(params, ds, cfg, engine, rng.derive(step))
-        if ledger is not None and event is not None:
+        if ledger is not None:
             ledger.record(event)
             check_every = max(1, hooks.budget_check_every)
             if (step + 1) % check_every == 0 or step + 1 == cfg.steps:

@@ -183,6 +183,13 @@ MALFORMED_SPECS = {
         '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": 0.1, "sigma": 5.0, "partition": 3}]}'
     ),
     "fractional_steps": '{"target_epsilon": 2.0, "delta": 1e-05, "fine_tune": {"steps": 300.5, "sampling_rate": 0.1}}',
+    "text_target": '{"target_epsilon": "2.0", "delta": 1e-05, "events": []}',
+    "bool_target": '{"target_epsilon": true, "delta": 1e-05, "events": []}',
+    "text_delta": '{"target_epsilon": 2.0, "delta": "1e-05", "events": []}',
+    "bool_delta": '{"target_epsilon": 2.0, "delta": false, "events": []}',
+    "text_sampling_rate": '{"target_epsilon": 2.0, "delta": 1e-05, "fine_tune": {"steps": 100, "sampling_rate": "0.1"}}',
+    "bool_sampling_rate": '{"target_epsilon": 2.0, "delta": 1e-05, "fine_tune": {"steps": 100, "sampling_rate": true}}',
+    "fine_tune_not_an_object": '{"target_epsilon": 2.0, "delta": 1e-05, "fine_tune": [100, 0.1]}',
     "not_an_object": "[1, 2]",
 }
 

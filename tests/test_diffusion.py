@@ -1,4 +1,6 @@
 import inspect
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -379,8 +381,8 @@ def test_sample_is_bit_identical_to_the_per_step_sampler(monkeypatch, shape, lab
     monkeypatch.setattr(diffusion_mod, "_sigmoid", recording_sigmoid)
     base = init_params(m, RngSeed(sum(shape) + n))
     step_bytes = n * m.data_dim * 8
-    # noise blocks of K = 2 < T = 5 steps, and of K = T
-    for block_bytes in (2 * step_bytes, 5 * step_bytes):
+    # two noise blocks of K = 1 step, of K = 2 < T = 5 with T mod K = 1, and of K = T
+    for block_bytes in (2 * step_bytes, 4 * step_bytes, 10 * step_bytes):
         monkeypatch.setattr(diffusion_mod, "NOISE_BLOCK_BYTES", block_bytes)
         # ordinary weights, and weights scaled so that hidden inputs pass +-745
         for scale in (1.0, 60.0):
@@ -409,8 +411,8 @@ class TestSampling:
                     x = np.sqrt(abars[t - 2]) * x0_hat + np.sqrt(1 - abars[t - 2]) * gen.standard_normal(16)
             expected.append(np.clip(x0_hat, 0.0, 1.0))
         step_bytes = 2 * 16 * 8  # one step's noise for both chains
-        # noise blocks of K = 1 step, K = 3 < T with T mod K = 2, and K = T (the default here)
-        for block_bytes in (step_bytes, 3 * step_bytes, diffusion_mod.NOISE_BLOCK_BYTES):
+        # two noise blocks of K = 1 step, K = 3 < T with T mod K = 2, and K = T (the default here)
+        for block_bytes in (2 * step_bytes, 6 * step_bytes, diffusion_mod.NOISE_BLOCK_BYTES):
             monkeypatch.setattr(diffusion_mod, "NOISE_BLOCK_BYTES", block_bytes)
             out = sample(params, sched, 2, RngSeed(77))
             assert np.array_equal(out, np.array(expected)), block_bytes
@@ -418,16 +420,16 @@ class TestSampling:
     @pytest.mark.parametrize("block_bytes", [None, 1], ids=["default", "one-step"])
     def test_noise_buffer_stays_within_its_bound(self, monkeypatch, block_bytes):
         # Every allocation made on a line of `sample` and held while the
-        # chains run is at most max(NOISE_BLOCK_BYTES, n*D*8) bytes, plus the
-        # array's header. Here the whole chain's noise, n*T*D*8 = 3.1 MiB,
-        # would not be.
+        # chains run, the pair of noise blocks included, is at most
+        # max(NOISE_BLOCK_BYTES, 2*n*D*8) bytes, plus the array's header.
+        # Here the whole chain's noise, n*T*D*8 = 3.1 MiB, would not be.
         if block_bytes is not None:
             monkeypatch.setattr(diffusion_mod, "NOISE_BLOCK_BYTES", block_bytes)
         manifest = ParamManifest(
             height=8, width=8, channels=1, hidden1=8, hidden2=8, time_dim=4, num_classes=3, label_dim=3
         )
         n, T = 64, 100
-        bound = max(diffusion_mod.NOISE_BLOCK_BYTES, n * manifest.data_dim * 8)
+        bound = max(diffusion_mod.NOISE_BLOCK_BYTES, 2 * n * manifest.data_dim * 8)
         assert n * T * manifest.data_dim * 8 > bound
         lines, first = inspect.getsourcelines(diffusion_mod.sample)
         in_sample = [
@@ -453,6 +455,69 @@ class TestSampling:
         assert len(calls) == T
         assert max(held) <= bound + 1024
         assert max(held) >= min(bound, n * T * manifest.data_dim * 8) // 2  # the buffer itself was seen
+
+    def test_prefetch_is_exact_under_frequent_thread_switches(self, monkeypatch):
+        # The worker writes one block while the calling thread reads the
+        # other; switching threads every microsecond would expose a fill that
+        # overwrote a block still being read.
+        m = ParamManifest(height=8, width=8, channels=1, hidden1=12, hidden2=10, time_dim=6, num_classes=4, label_dim=3)
+        params, sched, n = init_params(m, RngSeed(3)), NoiseSchedule.linear(12), 40
+        want = oracles.sample(params, sched, n, RngSeed(4), labels=np.arange(n) % 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in (1, 5):
+                monkeypatch.setattr(diffusion_mod, "NOISE_BLOCK_BYTES", 2 * k * n * m.data_dim * 8)
+                got = sample(params, sched, n, RngSeed(4), labels=np.arange(n) % 5)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_denoiser_error_propagates_and_the_worker_is_joined(self, monkeypatch):
+        # One-step blocks, so a fill is in flight at every step.
+        monkeypatch.setattr(diffusion_mod, "NOISE_BLOCK_BYTES", 1)
+        calls = []
+
+        def failing_forward(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                assert any(t.name.startswith("ThreadPoolExecutor") for t in threading.enumerate())
+                raise ArithmeticError("denoiser failed")
+            return forward(*args)
+
+        forward = diffusion_mod._forward_cached
+        monkeypatch.setattr(diffusion_mod, "_forward_cached", failing_forward)
+        before = set(threading.enumerate())
+        with pytest.raises(ArithmeticError, match="denoiser failed") as raised:
+            sample(init_params(TINY, RngSeed(1)), NoiseSchedule.linear(8), 3, RngSeed(2))
+        # `raised` holds sample's frame and so its executor: only a join has ended the worker.
+        assert set(threading.enumerate()) == before, raised
+        assert len(calls) == 3
+
+    def test_fill_error_propagates(self, monkeypatch):
+        # Each chain's second draw is the first made by the worker (block 1).
+        raised_on = []
+
+        class SecondDrawFails:
+            def __init__(self, gen):
+                self.gen, self.draws = gen, 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.draws += 1
+                if self.draws == 2:
+                    raised_on.append(threading.current_thread())
+                    raise OverflowError("noise draw failed")
+                return self.gen.standard_normal(*args, **kwargs)
+
+        params = init_params(TINY, RngSeed(1))
+        real = RngSeed.generator
+        monkeypatch.setattr(RngSeed, "generator", lambda self, *a, **k: SecondDrawFails(real(self, *a, **k)))
+        monkeypatch.setattr(diffusion_mod, "NOISE_BLOCK_BYTES", 1)
+        before = set(threading.enumerate())
+        with pytest.raises(OverflowError, match="noise draw failed") as raised:
+            sample(params, NoiseSchedule.linear(8), 3, RngSeed(2))
+        assert raised_on and threading.main_thread() not in raised_on
+        assert set(threading.enumerate()) == before, raised
 
     def test_empty_request(self, rng):
         params = zero_params(TINY)

@@ -16,7 +16,7 @@ from dpsynth import (
     TrainHooks,
     clip_rows,
 )
-from dpsynth.core import InvalidArgumentError, clip_factors
+from dpsynth.core import InvalidArgumentError, clip_factors, gaussian_noise
 from dpsynth.diffusion import (
     NoiseSchedule,
     ParamManifest,
@@ -129,19 +129,48 @@ class TestFusedClippedSum:
         assert worst > 0.5  # the bound is reached, not trivially satisfied
 
 
+class TestDpSgdConfig:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+    def test_noise_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(InvalidArgumentError, match="^noise scale must be positive and finite"):
+            DpSgdConfig(learning_rate=0.1, clip_bound=1.0, noise_scale=scale, sampling_rate=0.5, steps=1)
+
+    def test_zero_noise_is_refused_under_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "from dpsynth.dpsgd import DpSgdConfig\n"
+            "from dpsynth.core import InvalidArgumentError\n"
+            "try:\n"
+            "    DpSgdConfig(learning_rate=0.1, clip_bound=1.0, noise_scale=0, sampling_rate=0.5, steps=1)\n"
+            "except InvalidArgumentError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "noise scale must be positive and finite, got 0"
+
+
 class TestDpStep:
-    def test_reduces_to_full_batch_sgd_without_noise(self, ds):
+    def test_is_full_batch_sgd_plus_its_noise_draw(self, ds):
         params = init_params(MANIFEST, RngSeed(1))
         big_clip = 1e9  # inactive
-        cfg = DpSgdConfig(learning_rate=0.1, clip_bound=big_clip, noise_scale=0.0, sampling_rate=1.0, steps=1)
+        scale = 1e-15  # a zero scale is refused; the step's noise std is big_clip / 24 * scale
+        cfg = DpSgdConfig(learning_rate=0.1, clip_bound=big_clip, noise_scale=scale, sampling_rate=1.0, steps=1)
         stepped, event, stats = dp_step(params, ds, cfg, diffusion_engine, RngSeed(2))
-        assert event is None
+        assert (event.kind, event.q, event.sigma) == ("dpsgd_step", 1.0, scale)
         assert stats.batch_size == len(ds)
         args = (params, ds.pixels, ds.labels, SCHED, RngSeed(2).derive(2))
         ids = np.arange(len(ds))
         grad_sum, _, _ = loss_and_weighted_grad_sum(*args, np.ones_like, 1, ids)
-        expected = params.vector - 0.1 * (grad_sum / len(ds))
-        # with sigma = 0 and q = 1 the private step IS the plain SGD step, bit for bit
+        noise = gaussian_noise(grad_sum.shape, big_clip / len(ds) * scale, RngSeed(2).derive(1))
+        expected = params.vector - 0.1 * (grad_sum / len(ds) + noise)
+        # with q = 1 the private step IS the plain SGD step plus its noise draw, bit for bit
         assert np.array_equal(stepped.vector, expected)
         # and the engine's unclipped sum is the materialised per-example sum
         reference = loss_and_per_example_grads(*args, 1, ids).per_example_grads.sum(axis=0)
@@ -150,13 +179,16 @@ class TestDpStep:
     def test_single_example_closed_form_clipped(self, ds):
         params = init_params(MANIFEST, RngSeed(3))
         one = ds.subset([5])
-        cfg = DpSgdConfig(learning_rate=1.0, clip_bound=0.5, noise_scale=0.0, sampling_rate=1.0, steps=1)
-        stepped, _, _ = dp_step(params, one, cfg, diffusion_engine, RngSeed(4))
+        scale = 1e-9  # a zero scale is refused; the step's noise std is 0.5 * scale
+        cfg = DpSgdConfig(learning_rate=1.0, clip_bound=0.5, noise_scale=scale, sampling_rate=1.0, steps=1)
+        stepped, event, _ = dp_step(params, one, cfg, diffusion_engine, RngSeed(4))
+        assert (event.kind, event.q, event.sigma) == ("dpsgd_step", 1.0, scale)
         g = loss_and_per_example_grads(
             params, one.pixels, one.labels, SCHED, RngSeed(4).derive(2), 1, [0]
         ).per_example_grads[0]
         clipped = g * min(1.0, 0.5 / np.linalg.norm(g))
-        assert np.allclose(stepped.vector, params.vector - clipped, rtol=1e-12, atol=1e-15)
+        noise = gaussian_noise(g.shape, 0.5 * scale, RngSeed(4).derive(1))
+        assert np.allclose(stepped.vector, params.vector - (clipped + noise), rtol=1e-12, atol=1e-15)
 
     def test_noise_statistics_oracle(self, ds):
         # zero gradients: updates are pure Gaussian with std C sigma / B*
