@@ -17,6 +17,12 @@ node doubling until successive estimates agree. Both paths are cross-checked
 against each other and against an independent high-precision oracle in the
 test suite. Curves are cached per (q, sigma, orders) as read-only float64
 arrays.
+
+The quadrature's exponentials go through `_exp`, which skips the lanes
+whose result is exactly 0.0: numpy's exp is slow on arguments that
+underflow, and the Gaussian tails are full of them. The result stays
+`np.exp` bit for bit because numpy's exp gives each lane the same bits
+whatever its neighbours are, and because NaN lanes still reach exp.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ QUADRATURE_ABS_TOL = 1e-12
 # Above this log-moment peak the integrand is evaluated shifted by the peak;
 # below it, the expm1 form preserves full relative precision of A - 1.
 _SHIFT_CUT = 50.0
+
+# exp(x) is exactly 0.0 at and below this cut: log(2**-1075), where float64
+# rounds to zero, is about -745.13.
+_EXP_ZERO_CUT = -746.0
 
 
 def default_orders() -> tuple[float, ...]:
@@ -155,6 +165,17 @@ def _integer_log_moments_minus_one(q: float, sigma: float, alphas: tuple[int, ..
     return out
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x) bit for bit, without handing exp the lanes it would round to 0.0.
+
+    numpy's exp takes a slow path on arguments whose result underflows; in the
+    quadrature's Gaussian tails that is up to half of the lanes. Lanes at or
+    below the cut are written as 0.0 directly. Subnormal results still come
+    from exp, and NaN still reaches it (the mask is ~(x <= cut), not x > cut).
+    """
+    return np.exp(x, out=np.zeros_like(x), where=~(x <= _EXP_ZERO_CUT))
+
+
 @lru_cache(maxsize=64)
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
@@ -188,7 +209,7 @@ def _fractional_log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.nd
         w = (half[:, None] * weights16[None, :]).reshape(-1)
 
         log_phi = -0.5 * u * u - 0.5 * math.log(2.0 * math.pi)
-        phi = np.exp(log_phi)
+        phi = _exp(log_phi)
         logmix = _log_mix_ratio(u, q, sigma)
 
         log_a = np.empty(len(alphas), dtype=np.float64)
@@ -206,11 +227,11 @@ def _fractional_log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.nd
                     term = np.empty_like(ratio)
                     term[small] = phi[small] * np.expm1(ratio[small])
                     large = ~small
-                    term[large] = np.exp(log_f[large]) - phi[large]
+                    term[large] = _exp(log_f[large]) - phi[large]
                 a_minus_1 = float(np.dot(w, term))
                 log_a[i] = math.log1p(a_minus_1)
             else:
-                integral = float(np.dot(w, np.exp(log_f - peak)))
+                integral = float(np.dot(w, _exp(log_f - peak)))
                 if integral <= 0.0:
                     raise NumericError(
                         f"quadrature produced a non-positive moment for q={q}, "
@@ -329,8 +350,8 @@ class MechanismEvent:
             raise InvalidArgumentError(f"unknown mechanism kind {self.kind!r}")
         if not (0.0 < self.q <= 1.0):
             raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {self.q}")
-        if self.sigma <= 0.0:
-            raise InvalidArgumentError(f"noise scale must be positive, got {self.sigma}")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise InvalidArgumentError(f"noise scale must be positive and finite, got {self.sigma}")
         if self.repetitions < 1:
             raise InvalidArgumentError("repetitions must be >= 1")
 
@@ -411,8 +432,8 @@ class PrivacySpec:
     orders: tuple[float, ...] = field(default_factory=default_orders)
 
     def __post_init__(self) -> None:
-        if self.target_epsilon <= 0.0:
-            raise InvalidArgumentError("target epsilon must be positive")
+        if not (self.target_epsilon > 0.0 and math.isfinite(self.target_epsilon)):
+            raise InvalidArgumentError(f"target epsilon must be positive and finite, got {self.target_epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise InvalidArgumentError(f"delta must be in (0, 1), got {self.delta}")
 

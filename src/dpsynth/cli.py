@@ -19,6 +19,7 @@ from . import data_io, pipeline
 from .accounting import (
     BudgetExhaustedError,
     MechanismEvent,
+    PrivacySpec,
     calibrate_sigma_f,
     compose,
     rdp_to_dp,
@@ -57,9 +58,11 @@ def _parse_spec(raw: dict):
         raise InvalidArgumentError(f"fine_tune must be an object, got {fine!r}")
     if fine and (isinstance(fine["steps"], bool) or not isinstance(fine["steps"], int)):
         raise InvalidArgumentError(f"fine_tune.steps must be an integer, got {fine['steps']!r}")
+    # PrivacySpec refuses a target that is not positive and finite, and a delta outside (0, 1).
+    spec = PrivacySpec(json_number(raw["target_epsilon"], "target_epsilon"), json_number(raw["delta"], "delta"))
     return (
-        json_number(raw["target_epsilon"], "target_epsilon"),
-        json_number(raw["delta"], "delta"),
+        spec.target_epsilon,
+        spec.delta,
         [MechanismEvent.from_dict(d) for d in raw.get("events", [])],
         (fine["steps"], json_number(fine["sampling_rate"], "fine_tune.sampling_rate")) if fine else None,
     )

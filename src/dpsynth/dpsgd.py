@@ -40,12 +40,13 @@ class DpSgdConfig:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise InvalidArgumentError("learning rate must be positive")
-        if self.clip_bound <= 0.0:
-            raise InvalidArgumentError("clip bound must be positive")
-        if not (self.noise_scale > 0.0 and math.isfinite(self.noise_scale)):
-            raise InvalidArgumentError(f"noise scale must be positive and finite, got {self.noise_scale}")
+        for name, v in (
+            ("learning rate", self.learning_rate),
+            ("clip bound", self.clip_bound),
+            ("noise scale", self.noise_scale),
+        ):
+            if not (v > 0.0 and math.isfinite(v)):
+                raise InvalidArgumentError(f"{name} must be positive and finite, got {v}")
         if not (0.0 < self.sampling_rate <= 1.0):
             raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {self.sampling_rate}")
         if self.steps < 0:

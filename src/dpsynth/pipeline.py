@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
@@ -206,8 +207,16 @@ class PipelineConfig:
             raise ConfigError("idx datasets need images_path and labels_path")
         if self.dataset.source == "container" and not self.dataset.path:
             raise ConfigError("container datasets need path")
-        if self.privacy.epsilon <= 0 or not (0 < self.privacy.delta < 1):
-            raise ConfigError("privacy target requires epsilon > 0 and delta in (0, 1)")
+        if not (0 < self.privacy.delta < 1):
+            raise ConfigError(f"privacy.delta must be in (0, 1), got {self.privacy.delta}")
+        for name, v in (
+            ("privacy.epsilon", self.privacy.epsilon),
+            ("warmup.learning_rate", self.warmup.learning_rate),
+            ("finetune.clip_bound", self.finetune.clip_bound),
+            ("finetune.learning_rate", self.finetune.learning_rate),
+        ):
+            if not (v > 0 and math.isfinite(v)):
+                raise ConfigError(f"{name} must be positive and finite, got {v}")
         for name, v in (
             ("warmup.iterations", self.warmup.iterations),
             ("finetune.steps", self.finetune.steps),
@@ -221,8 +230,6 @@ class PipelineConfig:
             ("warmup.augment_k", self.warmup.augment_k),
             ("warmup.noise_multiplicity", self.warmup.noise_multiplicity),
             ("finetune.noise_multiplicity", self.finetune.noise_multiplicity),
-            ("finetune.clip_bound", self.finetune.clip_bound),
-            ("finetune.learning_rate", self.finetune.learning_rate),
             ("eval.loss_draws", self.eval.loss_draws),
         ):
             if not v > 0:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from dpsynth import BudgetExhaustedError, InvalidArgumentError, MechanismEvent, PrivacySpec, RdpCurve
 from dpsynth.accounting import (
+    _EXP_ZERO_CUT,
+    _exp,
     _integer_log_moments_minus_one,
     _log1p_exp,
     _sgm_rdp_integer,
@@ -148,6 +151,67 @@ class TestIntegerPassBitIdentity:
         with pytest.raises(ValueError):
             curve *= 2.0
         assert sgm_rdp_curve(0.05, 3.0, default_orders()) is curve
+
+
+class TestExpHelper:
+    """`_exp` is np.exp bit for bit: the cut only skips lanes exp rounds to 0.0."""
+
+    @staticmethod
+    def inputs() -> np.ndarray:
+        cut = _EXP_ZERO_CUT
+        edges = [cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf), -745.13, -745.14, -np.inf, np.inf,
+                 np.nan, -np.nan, 709.78, 709.79, 710.0, 1e308, -1e308, 0.0, -0.0]
+        gen = np.random.default_rng(5)
+        x = np.concatenate([
+            edges,
+            np.linspace(-745.2, -708.0, 4001),  # subnormal results and the edge of the normal range
+            gen.uniform(-745.2, -708.0, 2000),
+            gen.normal(0.0, 300.0, 4000),
+            gen.uniform(-3000.0, 750.0, 4000),
+        ])
+        gen.shuffle(x)  # every kind of lane next to every other kind
+        return x
+
+    @staticmethod
+    def bits(x: np.ndarray) -> np.ndarray:
+        return x.view(np.int64)
+
+    def test_full_array_is_exp_bit_for_bit(self):
+        x = self.inputs()
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(self.bits(_exp(x)), self.bits(np.exp(x)))
+
+    def test_gathered_subset_is_exp_bit_for_bit(self):
+        x = self.inputs()
+        sub = x[np.random.default_rng(6).random(len(x)) < 0.5]
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(self.bits(_exp(sub)), self.bits(np.exp(sub)))
+
+
+# sha256 of the raw float64 bytes of sgm_rdp_curve(q, sigma, default_orders()),
+# frozen before the quadrature's exp skipped underflowing lanes. The contract
+# test pins sigmas in [0.52, 3.2]; these reach every branch of
+# _fractional_log_moments: sigmas 0.3 and 0.47 the mixed and the shifted
+# branch, 17 and 300 the all-small one.
+FRACTIONAL_PINS = [
+    (1e-4, 0.3, "a7c00cf3d501f9a67ecd30ea176d3204dd2200d8632bd17bc273ea5072bfeb1a"),
+    (0.02, 0.3, "120ebc5347e676be3d3cc56dac73878d3808bc263f200b0170e519e1dffda12e"),
+    (0.3, 0.3, "cf1b8e1fb99fdffed95d6ac8bd51c727b3965d747994c8090c62e75deea4fbc9"),
+    (1e-4, 0.47, "317fb73b038c82fe28200f57a8a7181e63440da15c540f3d2b30a50661cd6955"),
+    (0.02, 0.47, "0ffdccc21be5d3fb06237a2cb4013e7f3a387ee57c1970402b7332525381c554"),
+    (0.3, 0.47, "3430bd81b276c662c553e3f70a49d1905c9f373e6b441594e8d0ec3b4e7efba2"),
+    (1e-4, 17.0, "a3f11385c30db1c7d54d625451330fe4b84119231bcd2390d62974869af60fdc"),
+    (0.02, 17.0, "14cc75a53d9ee7f7acc571c08e7f4b83d80b0eb3a6ecbe4025a2453eb5f12483"),
+    (0.3, 17.0, "6d22c39061f4bb6cd7deeb29a9603f21c6f6bdfc0c3ef8e74e3f0139e616b414"),
+    (1e-4, 300.0, "2406e8b37082568700bdc8e380107a46a47995e01b28830ffc14283230ac4687"),
+    (0.02, 300.0, "a8a7bd46737ff9520e45a67e598ddbdc512dc101922bbcc080c5c7e71a7433fb"),
+    (0.3, 300.0, "bc72f6ecb772af5b17ff07575668287f7bcae407eb9b8e6ae4d43f1d0c4e6c91"),
+]
+
+
+@pytest.mark.parametrize("q,sigma,sha", FRACTIONAL_PINS, ids=[f"q={q}-sigma={s}" for q, s, _ in FRACTIONAL_PINS])
+def test_curve_outside_the_contract_range_is_pinned(q, sigma, sha):
+    assert hashlib.sha256(sgm_rdp_curve(q, sigma, default_orders()).tobytes()).hexdigest() == sha
 
 
 class TestCompose:
@@ -303,3 +367,11 @@ class TestPrivacySpec:
             MechanismEvent("mean_query", q=0.1, sigma=0.0)
         with pytest.raises(InvalidArgumentError):
             MechanismEvent("mean_query", q=0.1, sigma=1.0, repetitions=0)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError, match="^noise scale must be positive and finite"):
+                MechanismEvent("mean_query", q=0.1, sigma=sigma)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.inf, math.nan])
+    def test_target_must_be_positive_and_finite(self, target):
+        with pytest.raises(InvalidArgumentError, match="^target epsilon must be positive and finite"):
+            PrivacySpec(target_epsilon=target, delta=1e-5)

@@ -190,6 +190,10 @@ MALFORMED_SPECS = {
     "text_sampling_rate": '{"target_epsilon": 2.0, "delta": 1e-05, "fine_tune": {"steps": 100, "sampling_rate": "0.1"}}',
     "bool_sampling_rate": '{"target_epsilon": 2.0, "delta": 1e-05, "fine_tune": {"steps": 100, "sampling_rate": true}}',
     "fine_tune_not_an_object": '{"target_epsilon": 2.0, "delta": 1e-05, "fine_tune": [100, 0.1]}',
+    "nan_target": '{"target_epsilon": NaN, "delta": 1e-05, "fine_tune": {"steps": 100, "sampling_rate": 0.02}}',
+    "infinite_target": '{"target_epsilon": Infinity, "delta": 1e-05, "fine_tune": {"steps": 100, "sampling_rate": 0.02}}',
+    "nan_sigma": '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": 0.1, "sigma": NaN}]}',
+    "infinite_sigma": '{"target_epsilon": 2.0, "delta": 1e-05, "events": [{"kind": "mean_query", "q": 0.1, "sigma": Infinity}]}',
     "not_an_object": "[1, 2]",
 }
 
@@ -420,6 +424,7 @@ class TestEndToEndCli:
             text.replace('"repetitions": 1', '"repetitions": 2.9'),
             text.replace('"repetitions": 1', '"repetitions": true'),
             text.replace('"partition": null', '"partition": 3'),
+            text.replace('"sigma": 5.0', '"sigma": NaN'),
         )
         assert all(damaged != text for damaged in damages)
         for damaged in damages:

@@ -135,6 +135,13 @@ class TestDpSgdConfig:
         with pytest.raises(InvalidArgumentError, match="^noise scale must be positive and finite"):
             DpSgdConfig(learning_rate=0.1, clip_bound=1.0, noise_scale=scale, sampling_rate=0.5, steps=1)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "clip_bound"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rates_must_be_positive_and_finite(self, name, value):
+        kwargs = dict(learning_rate=0.1, clip_bound=1.0, noise_scale=1.0, sampling_rate=0.5, steps=1)
+        with pytest.raises(InvalidArgumentError, match=f"^{name.replace('_', ' ')} must be positive and finite"):
+            DpSgdConfig(**{**kwargs, name: value})
+
     def test_zero_noise_is_refused_under_optimize(self):
         src = Path(__file__).resolve().parents[1] / "src"
         code = (

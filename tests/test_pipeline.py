@@ -81,8 +81,16 @@ BAD_VALUES = [
     ("warmup", "augment_k", 0),
     ("warmup", "noise_multiplicity", 0),
     ("finetune", "noise_multiplicity", 0),
+    ("privacy", "epsilon", float("nan")),
+    ("privacy", "epsilon", float("inf")),
+    ("warmup", "learning_rate", -1.0),
+    ("warmup", "learning_rate", 0.0),
+    ("warmup", "learning_rate", float("nan")),
+    ("warmup", "learning_rate", float("inf")),
     ("finetune", "clip_bound", 0.0),
+    ("finetune", "clip_bound", float("inf")),
     ("finetune", "learning_rate", -0.01),
+    ("finetune", "learning_rate", float("inf")),
     ("finetune", "checkpoint_every", -1),
     ("eval", "loss_draws", 0),
     ("central", "noise_scale", 0.0),
