@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,10 +62,10 @@ def default_orders() -> tuple[float, ...]:
 def _validate_sgm_args(q: float, sigma: float, alpha: float) -> None:
     if not (0.0 < q <= 1.0):
         raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {q}")
-    if sigma <= 0.0:
-        raise InvalidArgumentError(f"noise scale must be positive, got {sigma}")
-    if alpha <= 1.0:
-        raise InvalidArgumentError(f"order must exceed 1, got {alpha}")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise InvalidArgumentError(f"noise scale must be positive and finite, got {sigma}")
+    if not (alpha > 1.0 and math.isfinite(alpha)):
+        raise InvalidArgumentError(f"order must be finite and exceed 1, got {alpha}")
 
 
 def _log1p_exp(x: float) -> float:
@@ -463,6 +463,56 @@ class PrivacySpec:
         }
 
 
+def _bracketed_secant(
+    epsilon: Callable[[float], float],
+    target: float,
+    lo: float,
+    eps_lo: float,
+    hi: float,
+    eps_hi: float,
+    eps_floor: float,
+) -> float:
+    """Shrink [lo, hi] around the noise scale where `epsilon` crosses `target`.
+
+    `lo` is infeasible (eps_lo > target) and `hi` feasible (eps_hi <= target),
+    and both stay so. Each step is regula falsi with the Illinois
+    modification on g(x) = log epsilon(e^x) - log target, x = log sigma:
+    the secant root of the bracket, with the end that failed to move twice
+    running having its g halved. A step stays half a tolerance inside the
+    bracket, so once the secant sits next to the root the following step
+    lands across it and closes the bracket. Without a usable secant (after a
+    NaN epsilon, say) the step bisects. Returns `hi` once hi / lo - 1 is
+    within SIGMA_SEARCH_REL_TOL and eps_hi >= eps_floor.
+    """
+    log_t = math.log(target)
+    x_lo, g_lo = math.log(lo), math.log(eps_lo) - log_t
+    x_hi, g_hi = math.log(hi), math.log(eps_hi) - log_t
+    margin = 0.5 * math.log1p(SIGMA_SEARCH_REL_TOL)
+    run = 0  # > 0: hi moved on that many steps running; < 0: lo did
+    for _ in range(200):
+        if hi / lo - 1.0 <= SIGMA_SEARCH_REL_TOL and eps_hi >= eps_floor:
+            break
+        x = 0.5 * (x_lo + x_hi)
+        if g_lo > g_hi and x_hi - x_lo > 2.0 * margin:  # false when eps_lo was NaN
+            x = x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo)
+            x = min(max(x, x_lo + margin), x_hi - margin)
+        sigma = math.exp(x)
+        if not lo < sigma < hi:
+            sigma = math.sqrt(lo * hi)
+        eps = epsilon(sigma)
+        if eps <= target:
+            hi, x_hi, g_hi, eps_hi = sigma, math.log(sigma), math.log(eps) - log_t, eps
+            run = max(run, 0) + 1
+            if run >= 2:
+                g_lo *= 0.5
+        else:
+            lo, x_lo, g_lo = sigma, math.log(sigma), math.log(eps) - log_t
+            run = min(run, 0) - 1
+            if run <= -2:
+                g_hi *= 0.5
+    return hi
+
+
 def calibrate_sigma_f(
     query_events: Sequence[MechanismEvent],
     steps: int,
@@ -474,21 +524,30 @@ def calibrate_sigma_f(
     """Smallest fine-tuning noise scale keeping the total budget under target.
 
     The query-stage events are fixed; the fine-tuning stage contributes
-    `steps` sub-sampled Gaussian releases at `sampling_rate`. Binary search
-    over `SIGMA_SEARCH_RANGE` returns, within `SIGMA_SEARCH_REL_TOL` relative
-    width, the smallest scale whose composed epsilon does not exceed the
-    target. Interior solutions land in [0.999 * target, target]; if even the
-    lower search bound satisfies the budget (e.g. zero steps) the bound
-    itself is returned.
+    `steps` sub-sampled Gaussian releases at `sampling_rate`. A bracketed
+    secant search (`_bracketed_secant`) over `SIGMA_SEARCH_RANGE` returns the
+    feasible end of a bracket whose other end is infeasible and at most
+    `SIGMA_SEARCH_REL_TOL` relatively below it. It runs first on the integer
+    orders alone (closed form, cheap) and then on the full grid; interior
+    solutions land in [0.999 * target, target]. If even the lower search
+    bound satisfies the budget (e.g. zero steps) the bound itself is
+    returned. Every feasibility test reads `epsilon <= target`, so a NaN
+    epsilon is never feasible.
     """
-    if steps < 0:
-        raise InvalidArgumentError("steps must be non-negative")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise InvalidArgumentError(f"steps must be a non-negative integer, got {steps!r}")
+    if not (target_epsilon > 0.0 and math.isfinite(target_epsilon)):
+        raise InvalidArgumentError(f"target epsilon must be positive and finite, got {target_epsilon}")
+    if not (0.0 < delta < 1.0):
+        raise InvalidArgumentError(f"delta must be in (0, 1), got {delta}")
+    if not (0.0 < sampling_rate <= 1.0):
+        raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {sampling_rate}")
     orders = tuple(orders) if orders is not None else default_orders()
     sigma_lo, sigma_hi = SIGMA_SEARCH_RANGE
 
     warm_curve = compose(query_events, orders)
     eps_w, _ = rdp_to_dp(warm_curve, delta)
-    if eps_w >= target_epsilon:
+    if not eps_w < target_epsilon:
         raise BudgetExhaustedError(
             f"query stage alone costs epsilon {eps_w:.6g} >= target {target_epsilon:.6g}"
         )
@@ -504,7 +563,7 @@ def calibrate_sigma_f(
         return lambda sigma: float(np.min(warm_gammas + steps * sgm_rdp_curve(sampling_rate, sigma, grid) + conv))
 
     total_epsilon = epsilon_on(orders, warm_curve)
-    if total_epsilon(sigma_hi) > target_epsilon:
+    if not total_epsilon(sigma_hi) <= target_epsilon:
         raise BudgetExhaustedError(
             f"even noise scale {sigma_hi} leaves epsilon above target {target_epsilon:.6g} "
             f"for {steps} steps at rate {sampling_rate}"
@@ -514,25 +573,24 @@ def calibrate_sigma_f(
     # full-grid epsilon is a min over a superset of orders, so it never
     # exceeds the integer-grid epsilon: the integer solution is a feasible
     # upper bracket, and probing small sigmas (where the fractional
-    # quadrature gets expensive) is avoided entirely.
+    # quadrature gets expensive) is avoided entirely. If the integer orders
+    # miss the target even at sigma_hi, the descent starts from sigma_hi.
     int_orders = tuple(a for a in orders if float(a).is_integer()) or orders
     int_epsilon = epsilon_on(int_orders, compose(query_events, int_orders))
-
-    lo, hi = sigma_lo, sigma_hi
-    for _ in range(80):
-        if hi / lo - 1.0 <= SIGMA_SEARCH_REL_TOL:
-            break
-        mid = math.sqrt(lo * hi)
-        if int_epsilon(mid) <= target_epsilon:
-            hi = mid
-        else:
-            lo = mid
+    hi = sigma_hi
+    eps_hi = int_epsilon(sigma_hi)
+    if eps_hi <= target_epsilon:
+        eps_lo = int_epsilon(sigma_lo)
+        if eps_lo <= target_epsilon:
+            return sigma_lo  # feasible on the full grid too
+        hi = _bracketed_secant(int_epsilon, target_epsilon, sigma_lo, eps_lo, sigma_hi, eps_hi, 0.0)
 
     # Descend to the full-grid solution, which can only sit at or below `hi`.
     lo = hi
     for _ in range(200):
         cand = max(sigma_lo, lo / 1.1)
-        if total_epsilon(cand) > target_epsilon:
+        eps_cand = total_epsilon(cand)
+        if not eps_cand <= target_epsilon:
             lo = cand
             break
         hi = cand
@@ -540,14 +598,7 @@ def calibrate_sigma_f(
         if cand == sigma_lo:
             return sigma_lo
 
-    for _ in range(200):
-        if hi / lo - 1.0 <= SIGMA_SEARCH_REL_TOL and total_epsilon(hi) >= 0.999 * target_epsilon:
-            break
-        mid = math.sqrt(lo * hi)
-        if total_epsilon(mid) <= target_epsilon:
-            hi = mid
-        else:
-            lo = mid
+    hi = _bracketed_secant(total_epsilon, target_epsilon, lo, eps_cand, hi, total_epsilon(hi), 0.999 * target_epsilon)
     eps_final = total_epsilon(hi)
     if not (0.999 * target_epsilon <= eps_final <= target_epsilon):
         raise NumericError(
@@ -555,4 +606,3 @@ def calibrate_sigma_f(
             f"vs target {target_epsilon:.9g} at sigma {hi:.9g}"
         )
     return hi
-

@@ -132,8 +132,9 @@ def frechet_distance(feats_a: np.ndarray, feats_b: np.ndarray) -> float:
     if a.shape[0] < d + 1 or b.shape[0] < d + 1:
         raise InvalidArgumentError(f"need at least {d + 1} samples per side for a rank-{d} fit")
     mu1, mu2 = a.mean(axis=0), b.mean(axis=0)
-    s1 = np.cov(a, rowvar=False)
-    s2 = np.cov(b, rowvar=False)
+    # np.cov returns a 0-d array for one feature; eigh needs (1, 1)
+    s1 = np.atleast_2d(np.cov(a, rowvar=False))
+    s2 = np.atleast_2d(np.cov(b, rowvar=False))
 
     mean_term = float(np.sum((mu1 - mu2) ** 2))
     try:

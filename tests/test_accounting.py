@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from dpsynth import BudgetExhaustedError, InvalidArgumentError, MechanismEvent, PrivacySpec, RdpCurve
+from dpsynth import BudgetExhaustedError, InvalidArgumentError, MechanismEvent, PrivacySpec, RdpCurve, accounting
 from dpsynth.accounting import (
+    SIGMA_SEARCH_REL_TOL,
     _EXP_ZERO_CUT,
     _exp,
     _integer_log_moments_minus_one,
@@ -50,6 +51,20 @@ class TestSgmRdp:
     def test_invalid_arguments(self, q, sigma, alpha):
         with pytest.raises(InvalidArgumentError):
             sgm_rdp(q, sigma, alpha)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_noise_scale_is_refused(self, sigma):
+        with pytest.raises(InvalidArgumentError, match="^noise scale must be positive and finite"):
+            sgm_rdp(0.1, sigma, 2.5)
+        with pytest.raises(InvalidArgumentError, match="^noise scale must be positive and finite"):
+            sgm_rdp_curve(0.1, sigma, default_orders())
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_order_is_refused(self, alpha):
+        with pytest.raises(InvalidArgumentError, match="^order must be finite and exceed 1"):
+            sgm_rdp(0.1, 1.0, alpha)
+        with pytest.raises(InvalidArgumentError, match="^order must be finite and exceed 1"):
+            sgm_rdp_curve(0.1, 1.0, (2.0, alpha))
 
     def test_monotone_in_q_and_alpha_antitone_in_sigma(self):
         gen = np.random.default_rng(13)
@@ -335,6 +350,40 @@ class TestCalibration:
         ]
         eps, _ = rdp_to_dp(compose(events), 1e-5)
         assert 0.999 * target <= eps <= target
+
+    def test_target_only_fractional_orders_reach(self):
+        # Every integer order's epsilon exceeds log(1/delta)/63 = 0.183, so the
+        # integer pre-bracket fails and the full-grid descent starts at sigma 1000.
+        sigma = calibrate_sigma_f([], 20, 0.01, 0.15, 1e-5)
+
+        def replay(s: float) -> float:
+            return rdp_to_dp(compose([MechanismEvent("dpsgd_step", q=0.01, sigma=s, repetitions=20)]), 1e-5)[0]
+
+        assert 0.999 * 0.15 <= replay(sigma) <= 0.15
+        assert replay(sigma / (1.0 + SIGMA_SEARCH_REL_TOL)) > 0.15
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])
+    def test_target_is_refused_before_any_curve(self, monkeypatch, target):
+        # A NaN or infinite target used to calibrate to the least noise the search allows.
+        monkeypatch.setattr(accounting, "sgm_rdp_curve", self.no_curve)
+        with pytest.raises(InvalidArgumentError, match="^target epsilon must be positive and finite"):
+            calibrate_sigma_f(QUERY_EVENTS, 100, 0.1, target, 1e-5)
+
+    @pytest.mark.parametrize("steps", [-1, 2.5, True, "100"])
+    def test_steps_are_refused_before_any_curve(self, monkeypatch, steps):
+        monkeypatch.setattr(accounting, "sgm_rdp_curve", self.no_curve)
+        with pytest.raises(InvalidArgumentError, match="^steps must be a non-negative integer"):
+            calibrate_sigma_f(QUERY_EVENTS, steps, 0.1, 2.0, 1e-5)
+
+    @pytest.mark.parametrize("rate,delta", [(math.nan, 1e-5), (0.0, 1e-5), (0.1, math.nan), (0.1, 1.0)])
+    def test_rate_and_delta_are_refused_before_any_curve(self, monkeypatch, rate, delta):
+        monkeypatch.setattr(accounting, "sgm_rdp_curve", self.no_curve)
+        with pytest.raises(InvalidArgumentError, match="^(sampling rate|delta) must be in"):
+            calibrate_sigma_f(QUERY_EVENTS, 100, rate, 2.0, delta)
+
+    @staticmethod
+    def no_curve(*args):
+        raise AssertionError("a curve was computed for refused arguments")
 
     def test_query_stage_overdraft_names_epsilon(self):
         greedy = [MechanismEvent("mean_query", q=0.5, sigma=0.5, repetitions=200)]

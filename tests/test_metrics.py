@@ -40,6 +40,14 @@ class TestFrechetDistance:
         )
         assert frechet_distance(fa, fb) == pytest.approx(expect, rel=1e-6)
 
+    def test_single_feature_is_the_one_dimensional_closed_form(self):
+        # np.cov of one feature is 0-d; the distance is (mu1 - mu2)^2 + (s1 - s2)^2.
+        gen = np.random.default_rng(3)
+        fa = gen.standard_normal((60, 1))
+        fb = gen.standard_normal((50, 1)) * 2.5 + 0.7
+        expect = (fa.mean() - fb.mean()) ** 2 + (fa.std(ddof=1) - fb.std(ddof=1)) ** 2
+        assert frechet_distance(fa, fb) == pytest.approx(expect, rel=1e-9)
+
     def test_symmetry(self):
         gen = np.random.default_rng(2)
         fa = gen.standard_normal((40, 4))

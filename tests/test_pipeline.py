@@ -171,6 +171,19 @@ def test_eval_setting_the_data_cannot_meet_is_refused_before_any_query(tmp_path,
     assert not out.exists()
 
 
+def test_single_eval_feature_completes(tmp_path):
+    # feature_dim 1 downsamples one-channel 8x8 images to one feature
+    cfg = tiny_config(
+        tmp_path,
+        "one_feature",
+        dataset=DatasetConfig(source="toy", n_per_class=10, num_classes=2, height=8, width=8),
+        eval=EvalConfig(n_synthetic=40, loss_draws=200, probe=False, feature_dim=1),
+    )
+    out = run_all(cfg)
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert np.isfinite(metrics["frechet_final"]) and np.isfinite(metrics["frechet_warmup"])
+
+
 # Augmentation settings no bag can be built from: id -> (warmup key, value)
 BAD_AUGMENTATION = {
     "cutout_above_one": ("augment_ranges", {"cutout": [1.5, 1.5]}),
