@@ -18,6 +18,14 @@ against each other and against an independent high-precision oracle in the
 test suite. Curves are cached per (q, sigma, orders) as read-only float64
 arrays.
 
+Epsilon is a minimum over the orders, and the composed curve never
+decreases with the order, so the curve at an integer order bounds every
+fractional order above it. Calibration and the CLI's total therefore price
+every integer order in closed form but a fractional order only where that
+bound can reach the integer minimum (`_FineTuneEpsilon`); the result is
+`rdp_to_dp(compose(...))` bit for bit, because each priced order is
+computed on the full grid's quadrature nodes.
+
 The quadrature's exponentials go through `_exp`, which skips the lanes
 whose result is exactly 0.0: numpy's exp is slow on arguments that
 underflow, and the Gaussian tails are full of them. The result stays
@@ -41,6 +49,12 @@ EVENT_KINDS = ("mean_query", "mode_query", "dpsgd_step")
 SIGMA_SEARCH_RANGE = (1e-2, 1e3)
 SIGMA_SEARCH_REL_TOL = 1e-4
 QUADRATURE_ABS_TOL = 1e-12
+
+# A fractional order is priced only if a lower bound on its epsilon is within
+# this relative margin of the integer orders' minimum; the margin sits far
+# above the quadrature's tolerance, so an order left out cannot hold or tie
+# the minimum.
+_PRUNE_MARGIN = 1e-6
 
 # Above this log-moment peak the integrand is evaluated shifted by the peak;
 # below it, the expm1 form preserves full relative precision of A - 1.
@@ -187,15 +201,21 @@ def _log_mix_ratio(u: np.ndarray, q: float, sigma: float) -> np.ndarray:
     return np.logaddexp(math.log1p(-q), math.log(q) + shift)
 
 
-def _fractional_log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
+def _fractional_log_moments(
+    q: float, sigma: float, alphas: np.ndarray, span: Optional[float] = None
+) -> np.ndarray:
     """log moments for an array of (fractional) orders by adaptive quadrature.
 
     A single standardized node set covers all orders: the integrand for order
-    alpha has its mass inside [-14, alpha/sigma + 14]. Node density doubles
-    until every order's estimate is stable to QUADRATURE_ABS_TOL (relative on
-    the moment), which for this analytic integrand happens at the first check.
+    alpha has its mass inside [-14, span/sigma + 14], where `span` (the
+    largest of `alphas` if not given) is at least every order priced. Node
+    density doubles until every order's estimate is stable to
+    QUADRATURE_ABS_TOL (relative on the moment), which for this analytic
+    integrand happens at the first check. Each order is then priced alone on
+    the node set, so a subset of a grid priced with the grid's span gets the
+    grid's bits.
     """
-    u_hi = float(np.max(alphas)) / sigma + 14.0
+    u_hi = float(np.max(alphas) if span is None else span) / sigma + 14.0
     u_lo = -14.0
     panels = max(64, int((u_hi - u_lo) * 2.0))
     nodes16, weights16 = _gl_nodes(16)
@@ -294,6 +314,21 @@ def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> np.ndarr
         if len(frac_alphas):
             g = _fractional_log_moments(q, sigma, frac_alphas) / (frac_alphas - 1.0)
             gammas[frac_ix] = np.where(g > 0.0, g, 0.0)  # max(0.0, g), NaN included
+    gammas.flags.writeable = False
+    return gammas
+
+
+@lru_cache(maxsize=64)  # enough for a few calibrations replayed in turn
+def _fractional_gammas(q: float, sigma: float, alphas: tuple[float, ...], span: float) -> np.ndarray:
+    """gamma at fractional orders `alphas`, bit for bit as sgm_rdp_curve gives them
+    on a grid whose largest fractional order is `span`."""
+    if q == 1.0:
+        return sgm_rdp_curve(q, sigma, alphas)  # analytic, no quadrature
+    for a in alphas:
+        _validate_sgm_args(q, sigma, a)
+    frac = np.array(alphas, dtype=np.float64)
+    g = _fractional_log_moments(q, sigma, frac, span) / (frac - 1.0)
+    gammas = np.where(g > 0.0, g, 0.0)  # max(0.0, g), NaN included
     gammas.flags.writeable = False
     return gammas
 
@@ -419,6 +454,118 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
             best_eps = eps
             best_alpha = a
     return best_eps, best_alpha
+
+
+@lru_cache(maxsize=16)
+def _pruning_layout(orders: tuple[float, ...]) -> tuple:
+    """The integer orders (positions, values), the fractional ones (positions, values),
+    the quadrature span, each fractional order's largest integer order below
+    (its position, and whether there is one), and the grid as an array."""
+    int_ix, int_alphas, frac_ix, frac_alphas = _split_orders(orders)
+    int_orders = tuple(orders[i] for i in int_ix)
+    span = float(frac_alphas.max()) if len(frac_alphas) else 0.0
+    below = np.searchsorted(np.array(int_alphas, dtype=np.float64), frac_alphas) - 1
+    grid = np.array(orders, dtype=np.float64)
+    return int_ix, int_orders, frac_ix, frac_alphas, span, np.maximum(below, 0), below >= 0, grid
+
+
+class _FineTuneEpsilon:
+    """sigma -> rdp_to_dp of the curve (before + steps * gamma) + after, bit for bit.
+
+    `before` and `after` (None: nothing) are curves over `orders`; gamma is
+    the curve of one release at rate `q` and noise scale sigma. The sums are
+    compose()'s, per order and in its order. Integer orders take the closed
+    form. The composed curve never decreases with the order (Renyi
+    divergence is monotone in alpha, and sums and maxima keep that), so at a
+    fractional alpha epsilon is at least the curve at the largest integer
+    order below alpha (0 if there is none) plus log(1/delta)/(alpha-1). Only
+    the fractional orders whose bound comes within _PRUNE_MARGIN of the
+    integer orders' minimum are priced, on the grid's quadrature span; the
+    others cannot hold or tie the minimum. A priced gamma that is not finite
+    is refused, as RdpCurve refuses it.
+    """
+
+    def __init__(
+        self,
+        before: Sequence[float],
+        after: Optional[Sequence[float]],
+        q: float,
+        steps: int,
+        delta: float,
+        orders: tuple[float, ...],
+    ) -> None:
+        self.q, self.steps, self.orders = q, steps, orders
+        (self.int_ix, self.int_orders, self.frac_ix, self.frac_alphas, self.span, self.floor_ix, self.has_floor,
+         grid) = _pruning_layout(orders)
+        conv = math.log(1.0 / delta) / (grid - 1.0)  # rdp_to_dp's divisions, lane by lane
+        self.conv_int, self.conv_frac = conv[self.int_ix], conv[self.frac_ix]
+        base = np.array(before, dtype=np.float64)
+        self.base_int, self.base_frac = base[self.int_ix], base[self.frac_ix]
+        self.tail = None if after is None else np.array(after, dtype=np.float64)
+
+    def _curve(self, ix: np.ndarray, base: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+        total = base + self.steps * gammas
+        if self.tail is not None:
+            total = total + self.tail[ix]
+        if not total.max(initial=0.0) < math.inf:  # NaN fails too
+            bad = total[~np.isfinite(total)][0]
+            raise InvalidArgumentError(f"gamma values must be finite and non-negative, got {bad}")
+        return total
+
+    def _integer_part(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Epsilon at the integer orders, and the lower bound at the fractional ones."""
+        total = self._curve(self.int_ix, self.base_int, sgm_rdp_curve(self.q, sigma, self.int_orders))
+        return total + self.conv_int, total[self.floor_ix] * self.has_floor + self.conv_frac
+
+    def floor(self, sigma: float) -> float:
+        """A lower bound on epsilon from the integer orders alone (closed form, no quadrature)."""
+        eps_int, bound = self._integer_part(sigma)
+        return float(min(eps_int.min(initial=math.inf), bound.min(initial=math.inf)))
+
+    def __call__(self, sigma: float) -> tuple[float, float]:
+        """(epsilon, the first order that attains it), as rdp_to_dp returns them."""
+        best, at = math.inf, len(self.orders)
+        cand = np.arange(len(self.frac_ix))
+        if self.int_orders:
+            eps, bound = self._integer_part(sigma)
+            i = int(np.argmin(eps))
+            best, at = float(eps[i]), int(self.int_ix[i])
+            cand = np.flatnonzero(~(bound > best * (1.0 + _PRUNE_MARGIN)))
+        if len(cand):
+            gammas = _fractional_gammas(self.q, sigma, tuple(self.frac_alphas[cand].tolist()), self.span)
+            eps = self._curve(self.frac_ix[cand], self.base_frac[cand], gammas) + self.conv_frac[cand]
+            i = int(np.argmin(eps))
+            if eps[i] < best or (eps[i] == best and self.frac_ix[cand[i]] < at):
+                best, at = float(eps[i]), int(self.frac_ix[cand[i]])
+        return best, self.orders[at]
+
+
+def epsilon_with_fine_tuning(
+    events: Sequence[MechanismEvent],
+    fine: MechanismEvent,
+    delta: float,
+    orders: Sequence[float] | None = None,
+) -> tuple[float, float]:
+    """rdp_to_dp(compose(events + [fine], orders), delta), bit for bit.
+
+    Only the fractional orders that can hold the minimum are priced by
+    quadrature (see `_FineTuneEpsilon`); `fine` must be unpartitioned, as
+    a DP-SGD stage is.
+    """
+    if fine.partition is not None:
+        raise InvalidArgumentError("the fine-tuning event must not carry a partition")
+    if not (0.0 < delta < 1.0):
+        raise InvalidArgumentError(f"delta must be in (0, 1), got {delta}")
+    orders = tuple(orders) if orders is not None else default_orders()
+    if not orders:
+        raise InvalidArgumentError("cannot convert an empty curve")
+    # compose() sums the unpartitioned events, then `fine`, then adds the
+    # maximum over partitions.
+    serial = [ev for ev in events if ev.partition is None]
+    parallel = [ev for ev in events if ev.partition is not None]
+    after = compose(parallel, orders).gammas if parallel else None
+    epsilon = _FineTuneEpsilon(compose(serial, orders).gammas, after, fine.q, fine.repetitions, delta, orders)
+    return epsilon(fine.sigma)
 
 
 @dataclass
@@ -554,29 +701,28 @@ def calibrate_sigma_f(
     if steps == 0:
         return sigma_lo
 
-    log_inv_delta = math.log(1.0 / delta)
+    # The full-grid epsilon, computed once per noise scale.
+    full = _FineTuneEpsilon(warm_curve.gammas, None, sampling_rate, steps, delta, orders)
+    by_sigma: dict[float, float] = {}
 
-    def epsilon_on(grid: tuple[float, ...], warm: RdpCurve):
-        """Total epsilon on `grid` as a function of the fine-tuning noise scale."""
-        warm_gammas = np.array(warm.gammas)
-        conv = np.array([log_inv_delta / (a - 1.0) for a in grid])
-        return lambda sigma: float(np.min(warm_gammas + steps * sgm_rdp_curve(sampling_rate, sigma, grid) + conv))
-
-    total_epsilon = epsilon_on(orders, warm_curve)
-    if not total_epsilon(sigma_hi) <= target_epsilon:
-        raise BudgetExhaustedError(
-            f"even noise scale {sigma_hi} leaves epsilon above target {target_epsilon:.6g} "
-            f"for {steps} steps at rate {sampling_rate}"
-        )
+    def full_epsilon(sigma: float) -> float:
+        if sigma not in by_sigma:
+            by_sigma[sigma] = full(sigma)[0]
+        return by_sigma[sigma]
 
     # Cheap pre-bracketing on the integer sub-grid (closed form only). The
     # full-grid epsilon is a min over a superset of orders, so it never
     # exceeds the integer-grid epsilon: the integer solution is a feasible
     # upper bracket, and probing small sigmas (where the fractional
-    # quadrature gets expensive) is avoided entirely. If the integer orders
-    # miss the target even at sigma_hi, the descent starts from sigma_hi.
+    # quadrature gets expensive) is avoided entirely.
     int_orders = tuple(a for a in orders if float(a).is_integer()) or orders
-    int_epsilon = epsilon_on(int_orders, compose(query_events, int_orders))
+    int_warm = np.array(compose(query_events, int_orders).gammas)
+    log_inv_delta = math.log(1.0 / delta)
+    int_conv = np.array([log_inv_delta / (a - 1.0) for a in int_orders])
+
+    def int_epsilon(sigma: float) -> float:
+        return float(np.min(int_warm + steps * sgm_rdp_curve(sampling_rate, sigma, int_orders) + int_conv))
+
     hi = sigma_hi
     eps_hi = int_epsilon(sigma_hi)
     if eps_hi <= target_epsilon:
@@ -584,22 +730,39 @@ def calibrate_sigma_f(
         if eps_lo <= target_epsilon:
             return sigma_lo  # feasible on the full grid too
         hi = _bracketed_secant(int_epsilon, target_epsilon, sigma_lo, eps_lo, sigma_hi, eps_hi, 0.0)
+        step = 1.1  # the full-grid solution sits just below the integer one
+    else:
+        if not full_epsilon(sigma_hi) <= target_epsilon:
+            raise BudgetExhaustedError(
+                f"even noise scale {sigma_hi} leaves epsilon above target {target_epsilon:.6g} "
+                f"for {steps} steps at rate {sampling_rate}"
+            )
+        # Only the fractional orders above the integer ones reach the target.
+        # Where the closed-form floor exceeds it, so does epsilon: the first
+        # step goes to the floor's crossing, or to sigma_lo if it has none.
+        floor_lo = full.floor(sigma_lo)
+        crossing = sigma_lo
+        if floor_lo > target_epsilon:
+            floor_hi = full.floor(sigma_hi)
+            crossing = _bracketed_secant(full.floor, target_epsilon, sigma_lo, floor_lo, sigma_hi, floor_hi, 0.0)
+            crossing /= 1.0 + SIGMA_SEARCH_REL_TOL  # at or below the floor's infeasible end
+        step = sigma_hi / crossing
 
     # Descend to the full-grid solution, which can only sit at or below `hi`.
-    lo = hi
-    for _ in range(200):
-        cand = max(sigma_lo, lo / 1.1)
-        eps_cand = total_epsilon(cand)
-        if not eps_cand <= target_epsilon:
-            lo = cand
+    # Each divisor after the first is the square of the one before, so an
+    # infeasible lower end is reached in a few steps.
+    while True:
+        lo = max(sigma_lo, hi / step)
+        eps_lo = full_epsilon(lo)
+        if not eps_lo <= target_epsilon:
             break
-        hi = cand
-        lo = cand
-        if cand == sigma_lo:
+        hi = lo
+        if lo == sigma_lo:
             return sigma_lo
+        step *= step
 
-    hi = _bracketed_secant(total_epsilon, target_epsilon, lo, eps_cand, hi, total_epsilon(hi), 0.999 * target_epsilon)
-    eps_final = total_epsilon(hi)
+    hi = _bracketed_secant(full_epsilon, target_epsilon, lo, eps_lo, hi, full_epsilon(hi), 0.999 * target_epsilon)
+    eps_final = full_epsilon(hi)
     if not (0.999 * target_epsilon <= eps_final <= target_epsilon):
         raise NumericError(
             f"calibration failed to land in the target window: epsilon {eps_final:.9g} "

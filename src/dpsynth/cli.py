@@ -22,6 +22,7 @@ from .accounting import (
     PrivacySpec,
     calibrate_sigma_f,
     compose,
+    epsilon_with_fine_tuning,
     rdp_to_dp,
 )
 from .central import CentralConfig, query_central_set
@@ -42,6 +43,12 @@ def _print_kv(key: str, value) -> None:
     print(f"{key}={value}")
 
 
+def _epsilon_text(eps: float, target: float) -> str:
+    """eps to 9 significant digits, or in full where those would read above a target eps meets."""
+    text = f"{eps:.9g}"
+    return repr(eps) if eps <= target < float(text) else text
+
+
 def _parse_json_file(path, what: str, parse):
     """`parse` of the JSON in `path`; a malformed file is an InvalidArgumentError naming it."""
     with open(path, "rb") as f:
@@ -56,8 +63,8 @@ def _parse_spec(raw: dict):
     fine = raw.get("fine_tune")
     if fine is not None and not isinstance(fine, dict):
         raise InvalidArgumentError(f"fine_tune must be an object, got {fine!r}")
-    if fine and (isinstance(fine["steps"], bool) or not isinstance(fine["steps"], int)):
-        raise InvalidArgumentError(f"fine_tune.steps must be an integer, got {fine['steps']!r}")
+    if fine and (isinstance(fine["steps"], bool) or not isinstance(fine["steps"], int) or fine["steps"] < 1):
+        raise InvalidArgumentError(f"fine_tune.steps must be a positive integer, got {fine['steps']!r}")
     # PrivacySpec refuses a target that is not positive and finite, and a delta outside (0, 1).
     spec = PrivacySpec(json_number(raw["target_epsilon"], "target_epsilon"), json_number(raw["delta"], "delta"))
     return (
@@ -82,9 +89,9 @@ def cmd_account(args) -> int:
         steps, rate = fine
         sigma = calibrate_sigma_f(events, steps, rate, target, delta)
         _print_kv("sigma_f", f"{sigma:.9g}")
-        total = events + [MechanismEvent("dpsgd_step", q=rate, sigma=sigma, repetitions=steps)]
-        eps_total, alpha_total = rdp_to_dp(compose(total), delta)
-        _print_kv("epsilon_total", f"{eps_total:.9g}")
+        fine_event = MechanismEvent("dpsgd_step", q=rate, sigma=sigma, repetitions=steps)
+        eps_total, alpha_total = epsilon_with_fine_tuning(events, fine_event, delta)
+        _print_kv("epsilon_total", _epsilon_text(eps_total, target))
         _print_kv("best_alpha_total", alpha_total)
     _print_kv("target_epsilon", target)
     _print_kv("delta", delta)

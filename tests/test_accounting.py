@@ -362,6 +362,21 @@ class TestCalibration:
         assert 0.999 * 0.15 <= replay(sigma) <= 0.15
         assert replay(sigma / (1.0 + SIGMA_SEARCH_REL_TOL)) > 0.15
 
+    def test_search_from_the_top_prices_few_noise_scales(self, monkeypatch):
+        # The call above, whose window and tightness it checks: a descent from
+        # sigma 1000 by a fixed 1.1 computed 70 full-grid epsilons.
+        price = accounting._FineTuneEpsilon.__call__
+        full_grid_sigmas = []
+
+        def counting(self, sigma):
+            if self.orders == default_orders():
+                full_grid_sigmas.append(sigma)
+            return price(self, sigma)
+
+        monkeypatch.setattr(accounting._FineTuneEpsilon, "__call__", counting)
+        calibrate_sigma_f([], 20, 0.01, 0.15, 1e-5)
+        assert len(full_grid_sigmas) <= 15, full_grid_sigmas
+
     @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])
     def test_target_is_refused_before_any_curve(self, monkeypatch, target):
         # A NaN or infinite target used to calibrate to the least noise the search allows.

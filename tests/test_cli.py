@@ -150,6 +150,41 @@ class TestAccount:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_steps_below_one_are_refused_before_any_output(self, tmp_path, capsys, steps):
+        # Zero steps used to print sigma_f and then fail; negative steps printed the curve first.
+        spec = {
+            "target_epsilon": 2.0,
+            "delta": 1e-5,
+            "events": [{"kind": "mean_query", "q": 0.1, "sigma": 5.0, "repetitions": 50}],
+            "fine_tune": {"steps": steps, "sampling_rate": 0.1},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["account", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fine_tune.steps must be a positive integer" in captured.err
+
+    def test_total_never_reads_above_a_target_it_meets(self, tmp_path, capsys):
+        # epsilon_total is 2.27826536635 here, just under the target; to 9
+        # significant digits it read 2.27826537, above it.
+        spec = {
+            "target_epsilon": 2.278265366608012,
+            "delta": 1e-05,
+            "events": [
+                {"kind": "mean_query", "q": 0.011467395227793302, "repetitions": 16, "sigma": 8.212513982842893},
+                {"kind": "mode_query", "q": 0.0969918595200064, "repetitions": 19, "sigma": 12.677236853130887},
+                {"kind": "mean_query", "q": 0.050629234873985046, "repetitions": 5, "sigma": 19.46872389008707},
+            ],
+            "fine_tune": {"sampling_rate": 0.012882983577926357, "steps": 2973},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["account", "--spec", str(path), "--no-curve"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert 0.999 * spec["target_epsilon"] <= float(kv["epsilon_total"]) <= spec["target_epsilon"]
+
     def test_curve_printed_by_default(self, tmp_path, capsys):
         spec = {
             "target_epsilon": 2.0,
