@@ -31,6 +31,11 @@ whose result is exactly 0.0: numpy's exp is slow on arguments that
 underflow, and the Gaussian tails are full of them. The result stays
 `np.exp` bit for bit because numpy's exp gives each lane the same bits
 whatever its neighbours are, and because NaN lanes still reach exp.
+
+Two shortcuts keep every bit too. `_order_sums` adds all orders' terms at
+once in the order of numpy's pairwise `.sum()` of each order's slice. The
+quadrature decides its all-small branch from scalar bounds on every lane
+(rounding is monotone), then runs that branch's ufuncs on its operands.
 """
 
 from __future__ import annotations
@@ -73,13 +78,21 @@ def default_orders() -> tuple[float, ...]:
     return tuple(sorted(orders))
 
 
-def _validate_sgm_args(q: float, sigma: float, alpha: float) -> None:
-    if not (0.0 < q <= 1.0):
+def _validate_sgm_args(q: float, sigma: float, orders: tuple[float, ...]) -> None:
+    """Refuse q, then sigma, then the first bad order; an empty grid checks nothing."""
+    if orders and not (0.0 < q <= 1.0):
         raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {q}")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
+    if orders and not (sigma > 0.0 and math.isfinite(sigma)):
         raise InvalidArgumentError(f"noise scale must be positive and finite, got {sigma}")
-    if not (alpha > 1.0 and math.isfinite(alpha)):
-        raise InvalidArgumentError(f"order must be finite and exceed 1, got {alpha}")
+    _validate_orders(orders)
+
+
+@lru_cache(maxsize=16)
+def _validate_orders(orders: tuple[float, ...]) -> None:
+    """Each grid is checked once: lru_cache keeps only the grids that pass."""
+    for alpha in orders:
+        if not (alpha > 1.0 and math.isfinite(alpha)):
+            raise InvalidArgumentError(f"order must be finite and exceed 1, got {alpha}")
 
 
 def _log1p_exp(x: float) -> float:
@@ -145,6 +158,43 @@ def _binomial_layout(alphas: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return bounds, k.astype(np.float64), (a - k).astype(np.float64), k - 2, log_binom
 
 
+@lru_cache(maxsize=16)
+def _pairwise_gather(alphas: tuple[int, ...]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Indices that replay numpy's pairwise `.sum()` of every order's terms at once.
+
+    On n <= 128 terms numpy adds 8 running sums over the whole blocks of 8
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one at a time.
+    Returns block b's (blocks, 8, orders) and rest term t's (7, orders)
+    indices into the terms plus one 0.0 that pads shorter orders (x + 0.0
+    is x for the non-negative terms here); None above 128 terms.
+    """
+    bounds = _binomial_layout(alphas)[0]
+    start, n = bounds[:-1], np.diff(bounds)
+    if n.max() > 128:
+        return None
+    whole, pad = n // 8, bounds[-1]
+    b, j, t = np.arange(max(1, whole.max()))[:, None, None], np.arange(8)[:, None], np.arange(7)[:, None]
+    return np.where(b < whole, start + 8 * b + j, pad), np.where(t < n - 8 * whole, start + 8 * whole + t, pad)
+
+
+def _order_sums(terms: np.ndarray, alphas: tuple[int, ...]) -> np.ndarray:
+    """Each order's `terms[b0:b1].sum()`, bit for bit, in a few array passes."""
+    gather = _pairwise_gather(alphas)
+    if gather is None:
+        bounds = _binomial_layout(alphas)[0]
+        return np.array([terms[b0:b1].sum() for b0, b1 in zip(bounds[:-1], bounds[1:])])
+    blocks, rest = gather
+    padded = np.append(terms, 0.0)
+    parts = padded[blocks]
+    r = parts[0]
+    for block in parts[1:]:
+        r += block
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in padded[rest]:
+        s += term
+    return s
+
+
 def _integer_log_moments_minus_one(q: float, sigma: float, alphas: tuple[int, ...]) -> np.ndarray:
     """log(E_{x~p0}[(mix/p0)^alpha] - 1) at integer orders via the exact binomial expansion.
 
@@ -154,9 +204,10 @@ def _integer_log_moments_minus_one(q: float, sigma: float, alphas: tuple[int, ..
     so tiny divergences keep full relative precision.
 
     All orders share one flat array of terms. Each order's log-sum-exp
-    repeats scipy 1.17.1's `logsumexp` arithmetic step for step, and sums
-    its own contiguous slice, so every value is bit-identical to a per-order
-    `logsumexp` call (a segmented `np.add.reduceat` adds in another order).
+    repeats scipy 1.17.1's `logsumexp` arithmetic step for step, and its sum
+    adds in the order of numpy's `.sum()` of its own slice (`_order_sums`),
+    so every value is bit-identical to a per-order `logsumexp` call (a
+    segmented `np.add.reduceat` adds in another order).
     """
     bounds, k, a_minus_k, k_ix, log_binom = _binomial_layout(alphas)
     ks = np.arange(2, max(alphas) + 1, dtype=np.float64)
@@ -171,7 +222,7 @@ def _integer_log_moments_minus_one(q: float, sigma: float, alphas: tuple[int, ..
         is_max = terms == peak_flat
         count = np.add.reduceat(is_max.astype(np.float64), bounds[:-1])
         shifted = np.exp(np.where(is_max, -np.inf, terms) - peak_flat)
-        s = np.array([shifted[b0:b1].sum() for b0, b1 in zip(bounds[:-1], bounds[1:])])
+        s = _order_sums(shifted, alphas)
         s = np.where(s == 0, s, s / count)
         out = np.log1p(s) + np.log(count) + peak
         for i in np.flatnonzero(~np.isfinite(out)):  # direct sum where the shifted one fails
@@ -231,9 +282,21 @@ def _fractional_log_moments(
         log_phi = -0.5 * u * u - 0.5 * math.log(2.0 * math.pi)
         phi = _exp(log_phi)
         logmix = _log_mix_ratio(u, q, sigma)
+        # Rounding is monotone and alpha > 0, so alpha * mix_max bounds every
+        # lane of ratio and phi_max + alpha * mix_max every lane of log_f (a
+        # NaN bound fails both tests).
+        mix_max, phi_max = float(logmix.max()), float(log_phi.max())
+        buf = np.empty_like(logmix)
 
         log_a = np.empty(len(alphas), dtype=np.float64)
         for i, alpha in enumerate(alphas):
+            bound = alpha * mix_max
+            if bound <= 30.0 and phi_max + bound < _SHIFT_CUT:
+                # certainly the all-small branch below, on the same operands
+                np.multiply(logmix, alpha, out=buf)
+                np.multiply(phi, np.expm1(buf, out=buf), out=buf)
+                log_a[i] = math.log1p(float(np.dot(w, buf)))
+                continue
             ratio = alpha * logmix
             log_f = log_phi + ratio
             peak = float(log_f.max())
@@ -301,8 +364,7 @@ def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> np.ndarr
     cached result is a read-only float64 array shared by every caller.
     """
     q, sigma = float(q), float(sigma)
-    for a in orders:
-        _validate_sgm_args(q, sigma, a)
+    _validate_sgm_args(q, sigma, orders)
     gammas = np.empty(len(orders), dtype=np.float64)
     if q == 1.0:
         gammas[:] = [a / (2.0 * sigma * sigma) for a in orders]
@@ -324,8 +386,7 @@ def _fractional_gammas(q: float, sigma: float, alphas: tuple[float, ...], span: 
     on a grid whose largest fractional order is `span`."""
     if q == 1.0:
         return sgm_rdp_curve(q, sigma, alphas)  # analytic, no quadrature
-    for a in alphas:
-        _validate_sgm_args(q, sigma, a)
+    _validate_sgm_args(q, sigma, alphas)
     frac = np.array(alphas, dtype=np.float64)
     g = _fractional_log_moments(q, sigma, frac, span) / (frac - 1.0)
     gammas = np.where(g > 0.0, g, 0.0)  # max(0.0, g), NaN included
@@ -540,6 +601,16 @@ class _FineTuneEpsilon:
         return best, self.orders[at]
 
 
+def _compose_split(events: Sequence[MechanismEvent], orders: tuple[float, ...]) -> tuple:
+    """compose() of the unpartitioned events, and of the partitioned ones (None: there are none).
+
+    compose(events + [fine]), fine unpartitioned, adds fine's curve to the first, then the second.
+    """
+    parallel = [ev for ev in events if ev.partition is not None]
+    after = compose(parallel, orders).gammas if parallel else None
+    return compose([ev for ev in events if ev.partition is None], orders).gammas, after
+
+
 def epsilon_with_fine_tuning(
     events: Sequence[MechanismEvent],
     fine: MechanismEvent,
@@ -559,12 +630,7 @@ def epsilon_with_fine_tuning(
     orders = tuple(orders) if orders is not None else default_orders()
     if not orders:
         raise InvalidArgumentError("cannot convert an empty curve")
-    # compose() sums the unpartitioned events, then `fine`, then adds the
-    # maximum over partitions.
-    serial = [ev for ev in events if ev.partition is None]
-    parallel = [ev for ev in events if ev.partition is not None]
-    after = compose(parallel, orders).gammas if parallel else None
-    epsilon = _FineTuneEpsilon(compose(serial, orders).gammas, after, fine.q, fine.repetitions, delta, orders)
+    epsilon = _FineTuneEpsilon(*_compose_split(events, orders), fine.q, fine.repetitions, delta, orders)
     return epsilon(fine.sigma)
 
 
@@ -701,8 +767,11 @@ def calibrate_sigma_f(
     if steps == 0:
         return sigma_lo
 
-    # The full-grid epsilon, computed once per noise scale.
-    full = _FineTuneEpsilon(warm_curve.gammas, None, sampling_rate, steps, delta, orders)
+    # The full-grid epsilon, computed once per noise scale and summed as the
+    # ledger sums it (see _compose_split).
+    partitioned = any(ev.partition is not None for ev in query_events)
+    split = _compose_split(query_events, orders) if partitioned else (warm_curve.gammas, None)
+    full = _FineTuneEpsilon(*split, sampling_rate, steps, delta, orders)
     by_sigma: dict[float, float] = {}
 
     def full_epsilon(sigma: float) -> float:
@@ -716,12 +785,13 @@ def calibrate_sigma_f(
     # upper bracket, and probing small sigmas (where the fractional
     # quadrature gets expensive) is avoided entirely.
     int_orders = tuple(a for a in orders if float(a).is_integer()) or orders
-    int_warm = np.array(compose(query_events, int_orders).gammas)
+    # x + 0.0 is x, as no gamma is -0.0
+    int_before, int_after = (0.0 if g is None else np.array(g) for g in _compose_split(query_events, int_orders))
     log_inv_delta = math.log(1.0 / delta)
     int_conv = np.array([log_inv_delta / (a - 1.0) for a in int_orders])
 
     def int_epsilon(sigma: float) -> float:
-        return float(np.min(int_warm + steps * sgm_rdp_curve(sampling_rate, sigma, int_orders) + int_conv))
+        return float(np.min(int_before + steps * sgm_rdp_curve(sampling_rate, sigma, int_orders) + int_after + int_conv))
 
     hi = sigma_hi
     eps_hi = int_epsilon(sigma_hi)

@@ -14,6 +14,7 @@ import json
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 from . import data_io, pipeline
 from .accounting import (
@@ -236,20 +237,20 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="dpsynth", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("account", help="price a privacy spec and calibrate the fine-tune noise")
     a.add_argument("--spec", required=True, help="JSON privacy spec file")
     a.add_argument("--no-curve", action="store_true", help="suppress per-order gamma lines")
-    a.set_defaults(fn=cmd_account)
 
     a = sub.add_parser("ingest", help="convert an IDX pair into a container")
     a.add_argument("--images", required=True)
     a.add_argument("--labels", required=True)
     a.add_argument("--out", required=True)
-    a.set_defaults(fn=cmd_ingest)
 
     a = sub.add_parser("make-toy", help="generate the toy glyph dataset")
     a.add_argument("--out", required=True)
@@ -257,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--classes", type=int, default=10)
     a.add_argument("--size", type=int, default=8)
     a.add_argument("--seed", type=int, default=0)
-    a.set_defaults(fn=cmd_make_toy)
 
     a = sub.add_parser("query-central", help="query noisy central images")
     a.add_argument("--data", required=True)
@@ -272,13 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out", required=True)
     a.add_argument("--events-out", default=None)
-    a.set_defaults(fn=cmd_query_central)
 
     a = sub.add_parser("warmup", help="stage one: query and pre-train")
     a.add_argument("--config", required=True)
     a.add_argument("--out", required=True)
     a.add_argument("--ledger-out", required=True)
-    a.set_defaults(fn=cmd_warmup)
 
     a = sub.add_parser("finetune", help="stage two: calibrate and train privately")
     a.add_argument("--config", required=True)
@@ -286,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--ledger", default=None)
     a.add_argument("--out", required=True)
     a.add_argument("--ledger-out", required=True)
-    a.set_defaults(fn=cmd_finetune)
 
     a = sub.add_parser("sample", help="generate images from a checkpoint")
     a.add_argument("--checkpoint", required=True)
@@ -294,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--conditional", action="store_true")
     a.add_argument("--out", required=True)
-    a.set_defaults(fn=cmd_sample)
 
     a = sub.add_parser("evaluate", help="fidelity and utility of a synthetic container")
     a.add_argument("--synthetic", required=True)
@@ -304,20 +300,20 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--checkpoint", default=None, help="also report the denoising loss on the real data")
     a.add_argument("--loss-draws", type=int, default=10_000)
     a.add_argument("--seed", type=int, default=0)
-    a.set_defaults(fn=cmd_evaluate)
 
     a = sub.add_parser("run-all", help="full two-stage workflow from a config file")
     a.add_argument("--config", required=True)
     a.add_argument("--output-dir", default=None)
-    a.set_defaults(fn=cmd_run_all)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so a command rebound on the module (traced,
+    # say) is the one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -66,6 +66,16 @@ class TestSgmRdp:
         with pytest.raises(InvalidArgumentError, match="^order must be finite and exceed 1"):
             sgm_rdp_curve(0.1, 1.0, (2.0, alpha))
 
+    def test_refusal_order_is_rate_then_noise_then_first_bad_order(self):
+        with pytest.raises(InvalidArgumentError, match="^sampling rate must be in"):
+            sgm_rdp_curve(0.0, math.nan, (math.nan, 2.0))
+        with pytest.raises(InvalidArgumentError, match="^noise scale must be positive and finite"):
+            sgm_rdp_curve(0.5, math.nan, (math.nan, 2.0))
+        for _ in range(2):  # a refused grid is refused again, not remembered as checked
+            with pytest.raises(InvalidArgumentError, match="^order must be finite and exceed 1, got 0.5$"):
+                sgm_rdp_curve(0.5, 1.0, (2.0, 0.5, math.nan))
+        assert sgm_rdp_curve(0.0, math.nan, ()).shape == (0,)  # an empty grid checks nothing, as before
+
     def test_monotone_in_q_and_alpha_antitone_in_sigma(self):
         gen = np.random.default_rng(13)
         for _ in range(20):
@@ -404,6 +414,39 @@ class TestCalibration:
         greedy = [MechanismEvent("mean_query", q=0.5, sigma=0.5, repetitions=200)]
         with pytest.raises(BudgetExhaustedError, match="query stage"):
             calibrate_sigma_f(greedy, 100, 0.1, 1.0, 1e-5)
+
+    def test_certifies_the_epsilon_the_ledger_charges(self, monkeypatch):
+        # compose(), and so the ledger, adds the fine-tuning curve after the
+        # unpartitioned events and before the maximum over partitions. Summing
+        # (unpartitioned + maximum) + fine-tuning instead moved the last bits
+        # of the certified epsilon on specs 4, 5 and 6 below.
+        price = accounting._FineTuneEpsilon.__call__
+        priced = {}
+
+        def recording(self, sigma):
+            result = price(self, sigma)
+            priced[sigma] = result[0]
+            return result
+
+        monkeypatch.setattr(accounting._FineTuneEpsilon, "__call__", recording)
+        gen = np.random.default_rng(3)
+        for i in range(8):
+            events = [
+                MechanismEvent("mean_query", float(gen.uniform(0.01, 0.2)), float(gen.uniform(2, 20)),
+                               int(gen.integers(1, 20)))
+                for _ in range(int(gen.integers(1, 3)))
+            ]
+            events += [
+                MechanismEvent("mode_query", float(gen.uniform(0.01, 0.2)), float(gen.uniform(2, 20)),
+                               int(gen.integers(1, 20)), f"label={k % 3}")
+                for k in range(int(gen.integers(1, 5)))
+            ]
+            steps, rate, target = int(gen.integers(100, 3000)), float(gen.uniform(0.005, 0.05)), float(gen.uniform(2, 10))
+            priced.clear()
+            sigma = calibrate_sigma_f(events, steps, rate, target, 1e-5)
+            fine = MechanismEvent("dpsgd_step", q=rate, sigma=sigma, repetitions=steps)
+            charged, _ = rdp_to_dp(compose(events + [fine]), 1e-5)
+            assert float.hex(priced[sigma]) == float.hex(charged), i
 
 
 class TestPrivacySpec:

@@ -509,3 +509,15 @@ def test_subcommand_docs_match_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     assert sorted(set(re.findall(r"^dpsynth ([a-z-]+)", block, re.M))) == sorted(registered)
+
+
+def test_parser_is_built_once_and_a_rebound_command_runs(monkeypatch, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"target_epsilon": 2.0, "delta": 1e-5}))
+    assert main(["account", "--spec", str(spec), "--no-curve"]) == 0
+    # A tracer or a test rebinds the module's command after the parser exists.
+    calls = []
+    monkeypatch.setattr(cli, "cmd_account", lambda args: calls.append(args.spec) or 0)
+    assert main(["account", "--spec", str(spec)]) == 0
+    assert calls == [str(spec)]
