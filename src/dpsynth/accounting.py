@@ -78,21 +78,13 @@ def default_orders() -> tuple[float, ...]:
     return tuple(sorted(orders))
 
 
-def _validate_sgm_args(q: float, sigma: float, orders: tuple[float, ...]) -> None:
-    """Refuse q, then sigma, then the first bad order; an empty grid checks nothing."""
-    if orders and not (0.0 < q <= 1.0):
+def _validate_sgm_args(q: float, sigma: float, alpha: float) -> None:
+    if not (0.0 < q <= 1.0):
         raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {q}")
-    if orders and not (sigma > 0.0 and math.isfinite(sigma)):
+    if not (sigma > 0.0 and math.isfinite(sigma)):
         raise InvalidArgumentError(f"noise scale must be positive and finite, got {sigma}")
-    _validate_orders(orders)
-
-
-@lru_cache(maxsize=16)
-def _validate_orders(orders: tuple[float, ...]) -> None:
-    """Each grid is checked once: lru_cache keeps only the grids that pass."""
-    for alpha in orders:
-        if not (alpha > 1.0 and math.isfinite(alpha)):
-            raise InvalidArgumentError(f"order must be finite and exceed 1, got {alpha}")
+    if not (alpha > 1.0 and math.isfinite(alpha)):
+        raise InvalidArgumentError(f"order must be finite and exceed 1, got {alpha}")
 
 
 def _log1p_exp(x: float) -> float:
@@ -364,7 +356,8 @@ def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> np.ndarr
     cached result is a read-only float64 array shared by every caller.
     """
     q, sigma = float(q), float(sigma)
-    _validate_sgm_args(q, sigma, orders)
+    for a in orders:
+        _validate_sgm_args(q, sigma, a)
     gammas = np.empty(len(orders), dtype=np.float64)
     if q == 1.0:
         gammas[:] = [a / (2.0 * sigma * sigma) for a in orders]
@@ -386,7 +379,8 @@ def _fractional_gammas(q: float, sigma: float, alphas: tuple[float, ...], span: 
     on a grid whose largest fractional order is `span`."""
     if q == 1.0:
         return sgm_rdp_curve(q, sigma, alphas)  # analytic, no quadrature
-    _validate_sgm_args(q, sigma, alphas)
+    for a in alphas:
+        _validate_sgm_args(q, sigma, a)
     frac = np.array(alphas, dtype=np.float64)
     g = _fractional_log_moments(q, sigma, frac, span) / (frac - 1.0)
     gammas = np.where(g > 0.0, g, 0.0)  # max(0.0, g), NaN included
@@ -769,9 +763,7 @@ def calibrate_sigma_f(
 
     # The full-grid epsilon, computed once per noise scale and summed as the
     # ledger sums it (see _compose_split).
-    partitioned = any(ev.partition is not None for ev in query_events)
-    split = _compose_split(query_events, orders) if partitioned else (warm_curve.gammas, None)
-    full = _FineTuneEpsilon(*split, sampling_rate, steps, delta, orders)
+    full = _FineTuneEpsilon(*_compose_split(query_events, orders), sampling_rate, steps, delta, orders)
     by_sigma: dict[float, float] = {}
 
     def full_epsilon(sigma: float) -> float:
