@@ -345,7 +345,7 @@ def _split_orders(orders: tuple[float, ...]) -> tuple[np.ndarray, tuple[int, ...
     return int_ix, tuple(int(a) for a in grid[int_ix]), frac_ix, grid[frac_ix]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)  # one `account` call uses at most a few dozen curves, and no hit crosses calls
 def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> np.ndarray:
     """gamma(alpha) over a full order grid; the workhorse behind compose().
 

@@ -150,8 +150,9 @@ def _first(mask: np.ndarray) -> int:
 class LabeledDataset:
     """Labeled images of one shape: an (N, H*W*C) pixel matrix in [0, 1] and N labels.
 
-    Both arrays are private read-only copies. Every check is vectorised and
-    raises InvalidArgumentError naming the first offending index.
+    Both arrays are read-only copies, except that `frozen_copy` adopts pixels
+    a reader has just built, such as `load_container`'s. Every check is
+    vectorised and raises InvalidArgumentError naming the first offending index.
     """
 
     pixels: np.ndarray

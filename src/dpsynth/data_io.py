@@ -78,38 +78,53 @@ def write_framed(path, magic: bytes, header: dict, *chunks) -> None:
     write_file(path, magic, struct.pack("<I", len(blob)), blob, *chunks)
 
 
-def read_framed(path, magic: bytes, payload_size: Callable[[dict], int]) -> tuple[dict, memoryview]:
-    """(header, payload) of a file written by `write_framed`.
+def read_framed(path, magic: bytes, layout: Callable[[dict], list]) -> tuple[dict, list[np.ndarray]]:
+    """(header, payload arrays) of a file written by `write_framed`; `layout(header)` lists their (dtype, shape).
 
     Checks the magic, the header length, the header and its version, that exactly
-    `payload_size(header)` bytes follow it, and the checksum. `payload_size`
-    raises KeyError, TypeError or ValueError when the header gives no size.
+    the listed arrays' bytes follow it, before allocating any, and the checksum.
+    `layout` raises KeyError, TypeError or ValueError when the header gives no
+    sizes. Each array is read from the file into aligned memory it owns, then
+    made read-only, so that a dataset or model adopts it without a copy.
     """
     with open(path, "rb") as f:
-        data = memoryview(f.read())  # slices of a view copy nothing
-    if _read_exact(data, 0, len(magic), "magic") != magic:
-        raise FormatError(f"bad magic {bytes(data[: len(magic)])!r}, expected {magic!r}", 0)
-    start = len(magic) + 4
-    (hlen,) = struct.unpack("<I", _read_exact(data, len(magic), 4, "header length"))
-    blob = bytes(_read_exact(data, start, hlen, "header"))
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise FormatError(f"undecodable header: {exc}", start) from exc
-    version = header.get("version") if isinstance(header, dict) else None
-    if type(version) is not int or version != FRAMED_VERSION:
-        raise FormatError(f"unsupported header version {version!r}, expected {FRAMED_VERSION}", start)
-    try:
-        size = payload_size(header)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"header gives no payload size: {exc!r}", start) from exc
-    off = start + hlen
-    payload = _read_exact(data, off, size, "payload")
-    if len(data) != off + size:
-        raise FormatError("trailing bytes after payload", off + size)
-    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
+        file_size = os.fstat(f.fileno()).st_size
+        data = f.read(len(magic) + 4)
+        if _read_exact(data, 0, len(magic), "magic") != magic:
+            raise FormatError(f"bad magic {bytes(data[: len(magic)])!r}, expected {magic!r}", 0)
+        start = len(magic) + 4
+        (hlen,) = struct.unpack("<I", _read_exact(data, len(magic), 4, "header length"))
+        blob = _read_exact(data + f.read(min(hlen, file_size)), start, hlen, "header")  # read(n) allocates n
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise FormatError(f"undecodable header: {exc}", start) from exc
+        version = header.get("version") if isinstance(header, dict) else None
+        if type(version) is not int or version != FRAMED_VERSION:
+            raise FormatError(f"unsupported header version {version!r}, expected {FRAMED_VERSION}", start)
+        try:
+            specs = [(np.dtype(dtype), tuple(int(d) for d in shape)) for dtype, shape in layout(header)]
+            if any(d < 0 for _, shape in specs for d in shape):
+                raise ValueError(f"negative dimension in {specs}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"header gives no payload size: {exc!r}", start) from exc
+        off = start + hlen
+        size = sum(dtype.itemsize * np.prod(shape, dtype=object) for dtype, shape in specs)  # Python ints
+        if off + size > file_size:
+            raise FormatError(f"truncated while reading payload: need {size} bytes", off)
+        if off + size < file_size:
+            raise FormatError("trailing bytes after payload", off + size)
+        digest, arrays = hashlib.sha256(), []  # hashed in payload order: the whole payload's digest
+        for dtype, shape in specs:
+            a = np.empty(shape, dtype)
+            if f.readinto(a) != a.nbytes:  # the file shrank while being read
+                raise FormatError(f"truncated while reading payload: need {size} bytes", off)
+            digest.update(a)
+            a.setflags(write=False)
+            arrays.append(a)
+    if digest.hexdigest() != header.get("payload_sha256"):
         raise FormatError("payload checksum mismatch", off)
-    return header, payload
+    return header, arrays
 
 
 def _read_exact(data: bytes | memoryview, offset: int, n: int, what: str) -> bytes | memoryview:
@@ -227,30 +242,25 @@ def save_container(
     write_framed(path, CONTAINER_MAGIC, header, *chunks)
 
 
-def _container_payload_size(header: dict) -> int:
+def _container_layout(header: dict) -> list:
     count = int(header["count"])
-    pixels = 8 * count * int(header["height"]) * int(header["width"]) * int(header["channels"])
-    return pixels + (4 * count if header["has_labels"] else 0)
+    pixels = ("<f8", (count, int(header["height"]) * int(header["width"]) * int(header["channels"])))
+    return [("<u4", (count,)), pixels] if header["has_labels"] else [pixels]
 
 
 def load_container(path) -> ContainerFile:
-    header, payload = read_framed(path, CONTAINER_MAGIC, _container_payload_size)
+    header, arrays = read_framed(path, CONTAINER_MAGIC, _container_layout)
     kind = header.get("kind")
     if kind not in CONTAINER_KINDS:
         raise FormatError(f"unknown container kind {kind!r}", len(CONTAINER_MAGIC) + 4)
-    h, w, c, count = (int(header[k]) for k in ("height", "width", "channels", "count"))
-    has_labels = bool(header["has_labels"])
-    label_bytes = 4 * count if has_labels else 0
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(payload[:label_bytes], dtype="<u4").astype(np.int64)
-    pixels = np.frombuffer(payload[label_bytes:], dtype="<f8").reshape(count, h * w * c)
+    h, w, c = (int(header[k]) for k in ("height", "width", "channels"))
+    labels = arrays[0].astype(np.int64) if len(arrays) == 2 else None
     return ContainerFile(
         kind=kind,
         height=h,
         width=w,
         channels=c,
-        pixels=pixels,
+        pixels=arrays[-1],
         labels=labels,
         provenance=header.get("provenance", {}),
     )

@@ -227,12 +227,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-x) overflows to inf below x = -709, where the sigmoid is exactly 0.0.
     # Above 40, exp(-x) < 2**-54 and 1 + exp(-x) rounds to 1.0, so the clamp
     # changes no value; it keeps exp off its slow underflow path (x > 745).
+    s = np.minimum(x, 40.0)  # then 1 / (1 + exp(-s)), all in this one buffer
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.minimum(x, 40.0)))
+        np.exp(np.negative(s, out=s), out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    return x * _sigmoid(x)
+    s = _sigmoid(x)
+    return np.multiply(s, x, out=s)
 
 
 def _silu_grad(x: np.ndarray) -> np.ndarray:
@@ -280,11 +284,14 @@ def _label_rows(views: dict, manifest: ParamManifest, n: int, labels) -> tuple[n
 def _forward_cached(views: dict, manifest: ParamManifest, x, temb, lab, rows):
     """Output and backward cache; `temb` is (n, time_dim) or one shared row, `lab, rows` from `_label_rows`."""
     z0 = np.concatenate([x, np.broadcast_to(temb, (len(x), manifest.time_dim)), rows], axis=1)
-    a1 = z0 @ views["W1"].T + views["b1"]
+    a1 = z0 @ views["W1"].T
+    a1 += views["b1"]
     h1 = _silu(a1)
-    a2 = h1 @ views["W2"].T + views["b2"]
+    a2 = h1 @ views["W2"].T
+    a2 += views["b2"]
     h2 = _silu(a2)
-    out = h2 @ views["W3"].T + views["b3"]
+    out = h2 @ views["W3"].T
+    out += views["b3"]
     return out, (z0, a1, h1, a2, h2, lab)
 
 
@@ -580,14 +587,16 @@ def sample(
     # Leaving the block, also by an error, joins the worker.
     with ThreadPoolExecutor(max_workers=1) as pool:
         x = noise(0).copy()  # x_T
-        x0_hat = x
         for t in range(T, 0, -1):
-            out, _ = _forward_cached(views, m, x, temb[t - 1], *lab_rows)
+            x0_hat, _ = _forward_cached(views, m, x, temb[t - 1], *lab_rows)
             ab_t = abars[t - 1]
-            x0_hat = (x - math.sqrt(1.0 - ab_t) * out) / math.sqrt(ab_t)
+            x0_hat *= math.sqrt(1.0 - ab_t)  # the output becomes (x - sqrt(1 - ab_t) * output) / sqrt(ab_t)
+            np.subtract(x, x0_hat, out=x0_hat)
+            x0_hat /= math.sqrt(ab_t)
             if t > 1:
                 ab_prev = abars[t - 2]
-                x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * noise(T - t + 1)
+                np.multiply(x0_hat, math.sqrt(ab_prev), out=x)  # x becomes that + sqrt(1 - ab_prev) * noise
+                x += math.sqrt(1.0 - ab_prev) * noise(T - t + 1)
     return np.clip(x0_hat, 0.0, 1.0)
 
 
@@ -602,15 +611,12 @@ def save_checkpoint(path, params: DenoiserParams, schedule: NoiseSchedule) -> No
     write_framed(path, CHECKPOINT_MAGIC, header, betas, np.asarray(params.vector, dtype="<f8"))
 
 
-def _checkpoint_payload_size(header: dict) -> int:
+def _checkpoint_layout(header: dict) -> list:
     ParamManifest.from_dict(header["manifest"])  # a malformed manifest is a format error too
-    return 8 * (int(header["num_steps"]) + int(header["num_params"]))
+    return [("<f8", (int(header["num_steps"]),)), ("<f8", (int(header["num_params"]),))]
 
 
 def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
-    header, payload = read_framed(path, CHECKPOINT_MAGIC, _checkpoint_payload_size)
-    t = 8 * int(header["num_steps"])
-    betas = np.frombuffer(payload[:t], dtype="<f8")
-    vector = np.frombuffer(payload[t:], dtype="<f8")
+    header, (betas, vector) = read_framed(path, CHECKPOINT_MAGIC, _checkpoint_layout)
     manifest = ParamManifest.from_dict(header["manifest"])
     return DenoiserParams(manifest, vector), NoiseSchedule(tuple(float(b) for b in betas))

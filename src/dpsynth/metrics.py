@@ -25,6 +25,7 @@ from .diffusion import sample  # noqa: F401  bench/test_bench.py checks that the
 EIGENVALUE_TRUNCATION = 1e-10
 REGULARIZATION = 1e-6
 LOSS_CHUNK = 1000  # draws per denoiser batch; the draw order depends on it
+PROBE_BLOCK_BYTES = 4 * 1024 * 1024  # least size of a block of [pixels, 1] rows the probe predicts at once
 
 
 FEATURE_KINDS = ("downsample", "pca")
@@ -185,9 +186,18 @@ def train_probe_classifier(
         p /= p.sum(axis=1, keepdims=True)
         w -= x.T @ (p - onehot) / n
 
-    xt = np.hstack([real_test.pixels, np.ones((len(real_test), 1))])
-    pred = np.argmax(xt @ w, axis=1)
+    pred = np.argmax(_probe_logits(real_test.pixels, w), axis=1)
     return float(np.mean(pred == real_test.labels))
+
+
+def _probe_logits(pixels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[pixels, 1] @ w over blocks of PROBE_BLOCK_BYTES of rows, the last up to twice that; bit-equal to one product.
+
+    BLAS runs a small product on another kernel, whose sums round differently, so no block is short.
+    """
+    rows = max(1, PROBE_BLOCK_BYTES // (8 * w.shape[0]))
+    bounds = [0, *range(rows, len(pixels) // rows * rows, rows), len(pixels)]
+    return np.concatenate([np.hstack([pixels[a:b], np.ones((b - a, 1))]) @ w for a, b in zip(bounds, bounds[1:])])
 
 
 def denoising_loss_estimate(
@@ -218,8 +228,11 @@ def denoising_loss_estimate(
         ts = gen.integers(1, schedule.num_steps + 1, size=b)
         es = gen.standard_normal((b, pixels.shape[1]))
         ab = abars[ts - 1][:, None]
-        x_t = np.sqrt(ab) * pixels[ex] + np.sqrt(1.0 - ab) * es
+        x_t = pixels[ex]  # x_t = sqrt(ab) * x0 + sqrt(1 - ab) * es, in the gathered rows
+        x_t *= np.sqrt(ab)
+        x_t += np.sqrt(1.0 - ab) * es
         out = denoiser_forward(params, x_t, ts, labels[ex])
-        total += float(np.sum((out - es) ** 2))
+        out -= es
+        total += float(np.sum(np.square(out, out=out)))
     return total / draws
 

@@ -13,9 +13,11 @@ form, `apply_chain` with its per-image transforms is the former one-image-at-
 a-time augmentation (the tests now drive it with a stand-in generator that
 answers its picks, magnitudes and cutout corners from the batch's two array
 draws), `noise_draws` is the former per-example draw loop of
-`diffusion._noise_draws`, and `sigmoid` and `sample` are the ancestral
+`diffusion._noise_draws`, `sigmoid` and `sample` are the ancestral
 sampler as it was before its step invariants were hoisted and its sigmoid
-clamped.
+clamped, `denoising_loss_estimate` is the loss estimate as it was before it
+built its noisy inputs and squared errors in place, and `probe_logits` is
+the probe's prediction in one product over the whole test set.
 """
 
 from __future__ import annotations
@@ -341,6 +343,34 @@ def sample(params, schedule, n: int, rng, labels=None) -> np.ndarray:
             e = np.stack([gen.standard_normal(m.data_dim) for gen in gens])
             x = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * e
     return np.clip(x0_hat, 0.0, 1.0)
+
+
+def denoising_loss_estimate(params, schedule, pixels, labels, rng, draws: int, chunk: int = 1000) -> float:
+    """Mean squared noise-prediction error over `draws` (example, step, noise) triples, `chunk` at a time."""
+    m = params.manifest
+    blocks, offset = {}, 0
+    for name, shape in m.block_shapes().items():
+        size = int(np.prod(shape))
+        blocks[name] = params.vector[offset : offset + size].reshape(shape)
+        offset += size
+    abars = np.cumprod(1.0 - np.asarray(schedule.betas, dtype=np.float64))
+    gen = rng.generator()
+    total = 0.0
+    for start in range(0, draws, chunk):
+        b = min(chunk, draws - start)
+        ex = gen.integers(0, len(pixels), size=b)
+        ts = gen.integers(1, schedule.num_steps + 1, size=b)
+        es = gen.standard_normal((b, pixels.shape[1]))
+        ab = abars[ts - 1][:, None]
+        x_t = np.sqrt(ab) * pixels[ex] + np.sqrt(1.0 - ab) * es
+        out = _denoise(blocks, m, x_t, ts, labels[ex])
+        total += float(np.sum((out - es) ** 2))
+    return total / draws
+
+
+def probe_logits(pixels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The probe's test logits: the bias column appended to the whole set, one product."""
+    return np.hstack([pixels, np.ones((len(pixels), 1))]) @ w
 
 
 # --- frozen toy glyph generator ----------------------------------------------

@@ -2,12 +2,13 @@ import argparse
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpsynth import FormatError, RngSeed
+from dpsynth import FormatError, RngSeed, generate_toy_glyphs
 from dpsynth import cli
 from dpsynth.cli import main
 from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, load_checkpoint, save_checkpoint
@@ -337,6 +338,27 @@ class TestEndToEndCli:
         assert rc == 1
         assert [line.split("=")[0] for line in out.splitlines()] == ["frechet", "n_real", "n_synth", "acc"]
         assert "checksum" in err
+
+    def test_evaluate_holds_few_copies_of_the_real_set(self, tmp_path, capsys):
+        # 3,000 real 28x28 images: the pixels once, the PCA fit's centred
+        # copy, and the probe's and the loss's blocks, not whole-set copies.
+        real, synth, ck = tmp_path / "real.dpc", tmp_path / "synth.dpc", tmp_path / "model.ckpt"
+        ds = generate_toy_glyphs(300, 10, (28, 28, 1), RngSeed(3))
+        save_container(real, "sensitive", ds.pixels, (28, 28, 1), ds.labels)
+        s = generate_toy_glyphs(40, 10, (28, 28, 1), RngSeed(4))
+        save_container(synth, "synthetic", s.pixels, (28, 28, 1), s.labels)
+        save_checkpoint(ck, init_params(ParamManifest(28, 28, 1), RngSeed(5)), NoiseSchedule.linear(50))
+        del ds, s
+        tracemalloc.start()
+        try:
+            rc = main(["evaluate", "--synthetic", str(synth), "--real", str(real), "--feature", "pca",
+                       "--checkpoint", str(ck)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert set(parse_kv(capsys.readouterr().out)) == {"frechet", "n_real", "n_synth", "acc", "loss_p"}
+        assert peak < 4.5 * real.stat().st_size
 
     def test_bad_config_is_user_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

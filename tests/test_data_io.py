@@ -9,6 +9,7 @@ import pytest
 from dpsynth import FormatError, RngSeed, generate_toy_glyphs, load_container, read_idx, save_container, write_idx
 from dpsynth.cli import main
 from dpsynth.data_io import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, write_json
+from dpsynth import diffusion as diffusion_mod
 from dpsynth.diffusion import NoiseSchedule, ParamManifest, init_params, load_checkpoint, save_checkpoint
 from dpsynth.metrics import train_probe_classifier
 
@@ -161,6 +162,49 @@ class TestContainer:
         assert np.array_equal(loaded.labels, labels)
         assert not loaded.pixels.flags.writeable
 
+    # An odd count makes the labels' 4 * count bytes, which precede the pixels, no multiple of 8.
+    @pytest.mark.parametrize("count", [3000, 2999])
+    def test_a_dataset_from_a_container_holds_one_copy_of_the_pixels(self, tmp_path, count):
+        ds = generate_toy_glyphs(300, 10, (28, 28, 1), RngSeed(3))
+        pixels, labels = ds.pixels[:count], ds.labels[:count]
+        path = tmp_path / "real.dpc"
+        save_container(path, "sensitive", pixels, (28, 28, 1), labels)
+        tracemalloc.start()
+        try:
+            c = load_container(path)
+            loaded = c.to_dataset()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * pixels.nbytes
+        assert loaded.pixels is c.pixels
+        assert not loaded.pixels.flags.writeable and loaded.pixels.flags.aligned
+        assert np.array_equal(loaded.pixels.view(np.uint64), pixels.view(np.uint64))
+        assert np.array_equal(loaded.labels, labels)
+
+    def test_a_model_from_a_checkpoint_holds_one_copy_of_the_weights(self, tmp_path, monkeypatch):
+        params = init_params(ParamManifest(28, 28, 1), RngSeed(2))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, NoiseSchedule.linear(50))
+        read, read_framed = [], diffusion_mod.read_framed
+
+        def recording_read_framed(*args):
+            header, arrays = read_framed(*args)
+            read.extend(arrays)
+            return header, arrays
+
+        monkeypatch.setattr(diffusion_mod, "read_framed", recording_read_framed)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * params.vector.nbytes
+        assert loaded.vector is read[1]
+        assert not loaded.vector.flags.writeable and loaded.vector.flags.aligned
+        assert np.array_equal(loaded.vector.view(np.uint64), params.vector.view(np.uint64))
+
 
 WRITERS = {
     "checkpoint": lambda path, seed: save_checkpoint(
@@ -199,6 +243,45 @@ def _set_version(data: bytes, version) -> bytes:
         header["version"] = version
     blob = json.dumps(header, sort_keys=True).encode()
     return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + hlen :]
+
+
+def _set_header_fields(data: bytes, **fields) -> bytes:
+    """The framed file `data` with some header fields replaced."""
+    (hlen,) = struct.unpack_from("<I", data, 8)
+    header = dict(json.loads(data[12 : 12 + hlen]), **fields)
+    blob = json.dumps(header, sort_keys=True).encode()
+    return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + hlen :]
+
+
+@pytest.mark.parametrize("fields", [{"count": -1}, {"count": -3, "height": -2}, {"count": 2**40}, {"height": 2**40}])
+def test_a_misstated_payload_size_is_refused_before_anything_is_allocated(tmp_path, fields):
+    path = tmp_path / "c.dpc"
+    save_container(path, "sensitive", np.zeros((3, 4)), (2, 2, 1), np.array([0, 1, 0]))
+    path.write_bytes(_set_header_fields(path.read_bytes(), **fields))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="payload"):
+            load_container(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_a_misstated_header_length_is_refused_before_anything_is_allocated(tmp_path):
+    path = tmp_path / "c.dpc"
+    save_container(path, "sensitive", np.zeros((3, 4)), (2, 2, 1))
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<I", 2**32 - 1) + data[12:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated while reading header") as exc:
+            load_container(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.offset == 12
+    assert peak < 64 * 1024
 
 
 class TestFramedVersion:

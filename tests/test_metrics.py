@@ -3,13 +3,16 @@ import pytest
 
 from dpsynth import InvalidArgumentError, LabeledDataset, RngSeed, generate_toy_glyphs
 from dpsynth.diffusion import DenoiserParams, NoiseSchedule, ParamManifest, init_params, zero_params
+from dpsynth import metrics as metrics_mod
 from dpsynth.metrics import (
+    LOSS_CHUNK,
     FeatureExtractor,
     denoising_loss_estimate,
     frechet_distance,
     train_probe_classifier,
 )
 
+import oracles
 from oracles import frechet_diagonal_oracle
 
 
@@ -174,6 +177,19 @@ class TestProbeClassifier:
         with pytest.raises(InvalidArgumentError, match="single-class"):
             train_probe_classifier(single, toy_ds)
 
+    @pytest.mark.parametrize("d,classes", [(784, 10), (64, 2)], ids=["28x28-10", "8x8-2"])
+    def test_logits_are_bit_identical_to_one_whole_product(self, d, classes):
+        # Blocks of `rows`: one block (N = 1, rows - 1, rows + 1), a block and
+        # a block of rows + 1, and a block and one of 2 * rows - 1.
+        rows = metrics_mod.PROBE_BLOCK_BYTES // (8 * (d + 1))
+        gen = np.random.default_rng(d)
+        w = gen.standard_normal((d + 1, classes))
+        for n in (1, rows - 1, rows + 1, 2 * rows + 1, 3 * rows - 1):
+            pixels = gen.random((n, d))
+            got = metrics_mod._probe_logits(pixels, w)
+            want = oracles.probe_logits(pixels, w)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
 
 def _exact_linear_denoiser():
     """1x1 image, T=1: paired silu units implement out = c * x exactly.
@@ -223,3 +239,14 @@ class TestDenoisingLossEstimate:
         a = denoising_loss_estimate(params, sched, toy_ds, RngSeed(5), draws=500)
         b = denoising_loss_estimate(params, sched, toy_ds, RngSeed(5), draws=500)
         assert a == b
+
+    @pytest.mark.parametrize("draws", [1, LOSS_CHUNK - 1, LOSS_CHUNK + 1])
+    @pytest.mark.parametrize("scale", [1.0, 60.0])  # 60 drives hidden inputs past the sigmoid's clamp
+    def test_bit_identical_to_the_estimate_with_fresh_arrays(self, toy_ds, draws, scale):
+        m = ParamManifest(height=8, width=8, channels=1, hidden1=12, hidden2=10, time_dim=4, num_classes=10, label_dim=3)
+        base = init_params(m, RngSeed(6))
+        params = base.replace_vector(scale * base.vector)
+        sched = NoiseSchedule.linear(10)
+        got = denoising_loss_estimate(params, sched, toy_ds, RngSeed(7), draws=draws)
+        want = oracles.denoising_loss_estimate(params, sched, toy_ds.pixels, toy_ds.labels, RngSeed(7), draws)
+        assert got == want
