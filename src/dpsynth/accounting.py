@@ -15,27 +15,22 @@ so the ledger's last bits do not depend on a scipy release; fractional orders us
 adaptive composite Gauss-Legendre quadrature over the real line, refined by
 node doubling until successive estimates agree. Both paths are cross-checked
 against each other and against an independent high-precision oracle in the
-test suite. Curves are cached per (q, sigma, orders) as read-only float64
-arrays.
+test suite. Curves are cached per (q, sigma, orders, span) as read-only
+float64 arrays.
 
 Epsilon is a minimum over the orders, and the composed curve never
 decreases with the order, so the curve at an integer order bounds every
-fractional order above it. Calibration and the CLI's total therefore price
-every integer order in closed form but a fractional order only where that
-bound can reach the integer minimum (`_FineTuneEpsilon`); the result is
-`rdp_to_dp(compose(...))` bit for bit, because each priced order is
-computed on the full grid's quadrature nodes.
+fractional order above it. One pruned epsilon, `_FineTuneEpsilon`, built
+from the event list, serves calibration (its integer part is the search's
+pre-bracket) and the CLI's total: it prices every integer order in closed
+form but a fractional order only where that bound can reach the integer
+minimum. It is `rdp_to_dp(compose(...))` bit for bit: it sums as compose()
+sums, and prices each order on the full grid's quadrature nodes.
 
-The quadrature's exponentials go through `_exp`, which skips the lanes
-whose result is exactly 0.0: numpy's exp is slow on arguments that
-underflow, and the Gaussian tails are full of them. The result stays
-`np.exp` bit for bit because numpy's exp gives each lane the same bits
-whatever its neighbours are, and because NaN lanes still reach exp.
-
-Two shortcuts keep every bit too. `_order_sums` adds all orders' terms at
-once in the order of numpy's pairwise `.sum()` of each order's slice. The
-quadrature decides its all-small branch from scalar bounds on every lane
-(rounding is monotone), then runs that branch's ufuncs on its operands.
+Three shortcuts keep every bit: `_exp` never hands numpy's exp (slow on
+underflow) a lane it would round to 0.0, `_order_sums` adds all orders'
+terms at once in numpy's pairwise `.sum()` order, and the quadrature
+decides its all-small branch from scalar bounds on every lane.
 """
 
 from __future__ import annotations
@@ -68,6 +63,12 @@ _SHIFT_CUT = 50.0
 # exp(x) is exactly 0.0 at and below this cut: log(2**-1075), where float64
 # rounds to zero, is about -745.13.
 _EXP_ZERO_CUT = -746.0
+
+# A noise scale whose first quadrature pass needs more panels (of 16 nodes)
+# than this is refused before any array is allocated; sigma = 0.01, the
+# search's floor, needs 25,556 on the default grid.
+_MAX_PANELS = 65536
+_MAX_COUNT = 2**53  # repetitions and steps scale curves in float64, exact up to here
 
 
 def default_orders() -> tuple[float, ...]:
@@ -260,7 +261,11 @@ def _fractional_log_moments(
     """
     u_hi = float(np.max(alphas) if span is None else span) / sigma + 14.0
     u_lo = -14.0
-    panels = max(64, int((u_hi - u_lo) * 2.0))
+    width = (u_hi - u_lo) * 2.0
+    if not width <= _MAX_PANELS:
+        raise InvalidArgumentError(f"noise scale {sigma} at sampling rate {q} is too small to price "
+                                   f"({width:.3g} quadrature panels, at most {_MAX_PANELS})")
+    panels = max(64, int(width))
     nodes16, weights16 = _gl_nodes(16)
 
     prev: Optional[np.ndarray] = None
@@ -346,14 +351,16 @@ def _split_orders(orders: tuple[float, ...]) -> tuple[np.ndarray, tuple[int, ...
 
 
 @lru_cache(maxsize=256)  # one `account` call uses at most a few dozen curves, and no hit crosses calls
-def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> np.ndarray:
+def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...], span: Optional[float] = None) -> np.ndarray:
     """gamma(alpha) over a full order grid; the workhorse behind compose().
 
     q = 1 reduces to the analytic Gaussian divergence alpha / (2 sigma^2).
     Integer orders take the closed-form binomial path in one vectorized
-    pass; fractional orders are evaluated in one vectorized adaptive
-    quadrature pass, which keeps repeated calibration calls cheap. The
-    cached result is a read-only float64 array shared by every caller.
+    pass; fractional orders in one vectorized adaptive quadrature pass on
+    the nodes of a grid whose largest fractional order is `span` (default:
+    the largest of `orders`), and first, so that a noise scale too small to
+    price is refused before any other work. The cached result is a
+    read-only float64 array shared by every caller.
     """
     q, sigma = float(q), float(sigma)
     for a in orders:
@@ -363,29 +370,19 @@ def sgm_rdp_curve(q: float, sigma: float, orders: tuple[float, ...]) -> np.ndarr
         gammas[:] = [a / (2.0 * sigma * sigma) for a in orders]
     else:
         int_ix, int_alphas, frac_ix, frac_alphas = _split_orders(orders)
+        if len(frac_alphas):
+            g = _fractional_log_moments(q, sigma, frac_alphas, span) / (frac_alphas - 1.0)
+            gammas[frac_ix] = np.where(g > 0.0, g, 0.0)  # max(0.0, g), NaN included
         if int_alphas:
             log_am1 = _integer_log_moments_minus_one(q, sigma, int_alphas)
             gammas[int_ix] = [_log1p_exp(float(x)) / (a - 1.0) for a, x in zip(int_alphas, log_am1)]
-        if len(frac_alphas):
-            g = _fractional_log_moments(q, sigma, frac_alphas) / (frac_alphas - 1.0)
-            gammas[frac_ix] = np.where(g > 0.0, g, 0.0)  # max(0.0, g), NaN included
     gammas.flags.writeable = False
     return gammas
 
 
-@lru_cache(maxsize=64)  # enough for a few calibrations replayed in turn
-def _fractional_gammas(q: float, sigma: float, alphas: tuple[float, ...], span: float) -> np.ndarray:
-    """gamma at fractional orders `alphas`, bit for bit as sgm_rdp_curve gives them
-    on a grid whose largest fractional order is `span`."""
-    if q == 1.0:
-        return sgm_rdp_curve(q, sigma, alphas)  # analytic, no quadrature
-    for a in alphas:
-        _validate_sgm_args(q, sigma, a)
-    frac = np.array(alphas, dtype=np.float64)
-    g = _fractional_log_moments(q, sigma, frac, span) / (frac - 1.0)
-    gammas = np.where(g > 0.0, g, 0.0)  # max(0.0, g), NaN included
-    gammas.flags.writeable = False
-    return gammas
+def _check_orders(orders: Sequence[float]) -> None:
+    if any(a <= prev for prev, a in zip((1.0, *orders), orders)):
+        raise InvalidArgumentError("orders must be strictly increasing and > 1")
 
 
 @dataclass(frozen=True)
@@ -398,11 +395,7 @@ class RdpCurve:
     def __post_init__(self) -> None:
         if len(self.orders) != len(self.gammas):
             raise InvalidArgumentError("orders and gammas must have equal length")
-        prev = 1.0
-        for a in self.orders:
-            if a <= prev:
-                raise InvalidArgumentError("orders must be strictly increasing and > 1")
-            prev = a
+        _check_orders(self.orders)
         for g in self.gammas:
             if not (g >= 0.0 and math.isfinite(g)):
                 raise InvalidArgumentError(f"gamma values must be finite and non-negative, got {g}")
@@ -442,8 +435,8 @@ class MechanismEvent:
             raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {self.q}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise InvalidArgumentError(f"noise scale must be positive and finite, got {self.sigma}")
-        if self.repetitions < 1:
-            raise InvalidArgumentError("repetitions must be >= 1")
+        if not 1 <= self.repetitions <= _MAX_COUNT:
+            raise InvalidArgumentError(f"repetitions must be in [1, 2**53], got {self.repetitions!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -476,6 +469,15 @@ def compose(events: Sequence[MechanismEvent], orders: Sequence[float] | None = N
     curve.
     """
     orders = tuple(orders) if orders is not None else default_orders()
+    total, parallel = _compose_parts(events, orders)
+    if parallel is not None:
+        total += parallel
+    return RdpCurve(orders, tuple(float(g) for g in total))
+
+
+def _compose_parts(events: Sequence[MechanismEvent], orders: tuple[float, ...]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The unpartitioned events' summed curve, and the maximum over partitions of
+    each one's sum (None: there are none); compose() adds the second to the first."""
     total = np.zeros(len(orders), dtype=np.float64)
     partitioned: dict[str, np.ndarray] = {}
     for ev in events:
@@ -486,9 +488,7 @@ def compose(events: Sequence[MechanismEvent], orders: Sequence[float] | None = N
             partitioned[ev.partition] += curve
         else:
             partitioned[ev.partition] = curve
-    if partitioned:
-        total += np.max(np.stack(list(partitioned.values())), axis=0)
-    return RdpCurve(orders, tuple(float(g) for g in total))
+    return total, np.max(np.stack(list(partitioned.values())), axis=0) if partitioned else None
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
@@ -511,61 +511,50 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
     return best_eps, best_alpha
 
 
-@lru_cache(maxsize=16)
-def _pruning_layout(orders: tuple[float, ...]) -> tuple:
-    """The integer orders (positions, values), the fractional ones (positions, values),
-    the quadrature span, each fractional order's largest integer order below
-    (its position, and whether there is one), and the grid as an array."""
-    int_ix, int_alphas, frac_ix, frac_alphas = _split_orders(orders)
-    int_orders = tuple(orders[i] for i in int_ix)
-    span = float(frac_alphas.max()) if len(frac_alphas) else 0.0
-    below = np.searchsorted(np.array(int_alphas, dtype=np.float64), frac_alphas) - 1
-    grid = np.array(orders, dtype=np.float64)
-    return int_ix, int_orders, frac_ix, frac_alphas, span, np.maximum(below, 0), below >= 0, grid
+def _finite(total: np.ndarray) -> np.ndarray:
+    """`total`, refused as RdpCurve refuses it if a value is not finite."""
+    if not total.max(initial=0.0) < math.inf:  # NaN fails too
+        bad = total[~np.isfinite(total)][0]
+        raise InvalidArgumentError(f"gamma values must be finite and non-negative, got {bad}")
+    return total
 
 
 class _FineTuneEpsilon:
-    """sigma -> rdp_to_dp of the curve (before + steps * gamma) + after, bit for bit.
+    """sigma -> rdp_to_dp(compose(events + [fine], orders), delta), bit for bit,
+    where fine is `steps` unpartitioned releases at rate `q` and noise scale sigma.
 
-    `before` and `after` (None: nothing) are curves over `orders`; gamma is
-    the curve of one release at rate `q` and noise scale sigma. The sums are
-    compose()'s, per order and in its order. Integer orders take the closed
-    form. The composed curve never decreases with the order (Renyi
-    divergence is monotone in alpha, and sums and maxima keep that), so at a
-    fractional alpha epsilon is at least the curve at the largest integer
-    order below alpha (0 if there is none) plus log(1/delta)/(alpha-1). Only
-    the fractional orders whose bound comes within _PRUNE_MARGIN of the
-    integer orders' minimum are priced, on the grid's quadrature span; the
-    others cannot hold or tie the minimum. A priced gamma that is not finite
-    is refused, as RdpCurve refuses it.
+    The sums are compose()'s, per order and in its order. Integer orders
+    take the closed form. The composed curve never decreases with the order
+    (Renyi divergence is monotone in alpha, and sums and maxima keep that),
+    so at a fractional alpha epsilon is at least the curve at the largest
+    integer order below alpha (0 if there is none) plus
+    log(1/delta)/(alpha-1). Only the fractional orders whose bound comes
+    within _PRUNE_MARGIN of the integer orders' minimum are priced, on the
+    grid's quadrature span; the others cannot hold or tie the minimum. A
+    gamma that is not finite is refused, as RdpCurve refuses it.
     """
 
-    def __init__(
-        self,
-        before: Sequence[float],
-        after: Optional[Sequence[float]],
-        q: float,
-        steps: int,
-        delta: float,
-        orders: tuple[float, ...],
-    ) -> None:
+    def __init__(self, events: Sequence[MechanismEvent], q: float, steps: int, delta: float,
+                 orders: tuple[float, ...]) -> None:
+        if not orders:
+            raise InvalidArgumentError("cannot convert an empty curve")
+        _check_orders(orders)
         self.q, self.steps, self.orders = q, steps, orders
-        (self.int_ix, self.int_orders, self.frac_ix, self.frac_alphas, self.span, self.floor_ix, self.has_floor,
-         grid) = _pruning_layout(orders)
-        conv = math.log(1.0 / delta) / (grid - 1.0)  # rdp_to_dp's divisions, lane by lane
+        base, tail = _compose_parts(events, orders)
+        self.tail = None if tail is None else _finite(tail)
+        self.int_ix, self.int_orders, self.frac_ix, self.frac_alphas = _split_orders(orders)
+        self.span = float(self.frac_alphas.max(initial=0.0))
+        below = np.searchsorted(np.array(self.int_orders, dtype=np.float64), self.frac_alphas) - 1
+        self.floor_ix, self.has_floor = np.maximum(below, 0), below >= 0
+        conv = math.log(1.0 / delta) / (np.array(orders, dtype=np.float64) - 1.0)  # rdp_to_dp's divisions
         self.conv_int, self.conv_frac = conv[self.int_ix], conv[self.frac_ix]
-        base = np.array(before, dtype=np.float64)
-        self.base_int, self.base_frac = base[self.int_ix], base[self.frac_ix]
-        self.tail = None if after is None else np.array(after, dtype=np.float64)
+        self.base_int, self.base_frac = _finite(base)[self.int_ix], base[self.frac_ix]
 
     def _curve(self, ix: np.ndarray, base: np.ndarray, gammas: np.ndarray) -> np.ndarray:
         total = base + self.steps * gammas
         if self.tail is not None:
             total = total + self.tail[ix]
-        if not total.max(initial=0.0) < math.inf:  # NaN fails too
-            bad = total[~np.isfinite(total)][0]
-            raise InvalidArgumentError(f"gamma values must be finite and non-negative, got {bad}")
-        return total
+        return _finite(total)
 
     def _integer_part(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """Epsilon at the integer orders, and the lower bound at the fractional ones."""
@@ -587,22 +576,12 @@ class _FineTuneEpsilon:
             best, at = float(eps[i]), int(self.int_ix[i])
             cand = np.flatnonzero(~(bound > best * (1.0 + _PRUNE_MARGIN)))
         if len(cand):
-            gammas = _fractional_gammas(self.q, sigma, tuple(self.frac_alphas[cand].tolist()), self.span)
+            gammas = sgm_rdp_curve(self.q, sigma, tuple(self.frac_alphas[cand].tolist()), self.span)
             eps = self._curve(self.frac_ix[cand], self.base_frac[cand], gammas) + self.conv_frac[cand]
             i = int(np.argmin(eps))
             if eps[i] < best or (eps[i] == best and self.frac_ix[cand[i]] < at):
                 best, at = float(eps[i]), int(self.frac_ix[cand[i]])
         return best, self.orders[at]
-
-
-def _compose_split(events: Sequence[MechanismEvent], orders: tuple[float, ...]) -> tuple:
-    """compose() of the unpartitioned events, and of the partitioned ones (None: there are none).
-
-    compose(events + [fine]), fine unpartitioned, adds fine's curve to the first, then the second.
-    """
-    parallel = [ev for ev in events if ev.partition is not None]
-    after = compose(parallel, orders).gammas if parallel else None
-    return compose([ev for ev in events if ev.partition is None], orders).gammas, after
 
 
 def epsilon_with_fine_tuning(
@@ -622,10 +601,7 @@ def epsilon_with_fine_tuning(
     if not (0.0 < delta < 1.0):
         raise InvalidArgumentError(f"delta must be in (0, 1), got {delta}")
     orders = tuple(orders) if orders is not None else default_orders()
-    if not orders:
-        raise InvalidArgumentError("cannot convert an empty curve")
-    epsilon = _FineTuneEpsilon(*_compose_split(events, orders), fine.q, fine.repetitions, delta, orders)
-    return epsilon(fine.sigma)
+    return _FineTuneEpsilon(events, fine.q, fine.repetitions, delta, orders)(fine.sigma)
 
 
 @dataclass
@@ -741,8 +717,8 @@ def calibrate_sigma_f(
     returned. Every feasibility test reads `epsilon <= target`, so a NaN
     epsilon is never feasible.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise InvalidArgumentError(f"steps must be a non-negative integer, got {steps!r}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or not 0 <= steps <= _MAX_COUNT:
+        raise InvalidArgumentError(f"steps must be a non-negative integer of at most 2**53, got {steps!r}")
     if not (target_epsilon > 0.0 and math.isfinite(target_epsilon)):
         raise InvalidArgumentError(f"target epsilon must be positive and finite, got {target_epsilon}")
     if not (0.0 < delta < 1.0):
@@ -752,8 +728,7 @@ def calibrate_sigma_f(
     orders = tuple(orders) if orders is not None else default_orders()
     sigma_lo, sigma_hi = SIGMA_SEARCH_RANGE
 
-    warm_curve = compose(query_events, orders)
-    eps_w, _ = rdp_to_dp(warm_curve, delta)
+    eps_w, _ = rdp_to_dp(compose(query_events, orders), delta)
     if not eps_w < target_epsilon:
         raise BudgetExhaustedError(
             f"query stage alone costs epsilon {eps_w:.6g} >= target {target_epsilon:.6g}"
@@ -761,37 +736,24 @@ def calibrate_sigma_f(
     if steps == 0:
         return sigma_lo
 
-    # The full-grid epsilon, computed once per noise scale and summed as the
-    # ledger sums it (see _compose_split).
-    full = _FineTuneEpsilon(*_compose_split(query_events, orders), sampling_rate, steps, delta, orders)
-    by_sigma: dict[float, float] = {}
+    # The full-grid epsilon, summed as the ledger sums it, once per noise scale.
+    full = _FineTuneEpsilon(query_events, sampling_rate, steps, delta, orders)
+    full_epsilon = lru_cache(maxsize=None)(lambda sigma: full(sigma)[0])
 
-    def full_epsilon(sigma: float) -> float:
-        if sigma not in by_sigma:
-            by_sigma[sigma] = full(sigma)[0]
-        return by_sigma[sigma]
-
-    # Cheap pre-bracketing on the integer sub-grid (closed form only). The
-    # full-grid epsilon is a min over a superset of orders, so it never
-    # exceeds the integer-grid epsilon: the integer solution is a feasible
-    # upper bracket, and probing small sigmas (where the fractional
-    # quadrature gets expensive) is avoided entirely.
-    int_orders = tuple(a for a in orders if float(a).is_integer()) or orders
-    # x + 0.0 is x, as no gamma is -0.0
-    int_before, int_after = (0.0 if g is None else np.array(g) for g in _compose_split(query_events, int_orders))
-    log_inv_delta = math.log(1.0 / delta)
-    int_conv = np.array([log_inv_delta / (a - 1.0) for a in int_orders])
-
-    def int_epsilon(sigma: float) -> float:
-        return float(np.min(int_before + steps * sgm_rdp_curve(sampling_rate, sigma, int_orders) + int_after + int_conv))
+    # Cheap pre-bracketing on the integer orders (closed form only), or on
+    # the full grid where it has none. The full-grid epsilon is a min over a
+    # superset of orders, so it never exceeds the integer orders' minimum:
+    # the integer solution is a feasible upper bracket, and probing small
+    # sigmas (where the fractional quadrature gets expensive) is avoided.
+    pre_epsilon = (lambda sigma: float(full._integer_part(sigma)[0].min())) if full.int_orders else full_epsilon
 
     hi = sigma_hi
-    eps_hi = int_epsilon(sigma_hi)
+    eps_hi = pre_epsilon(sigma_hi)
     if eps_hi <= target_epsilon:
-        eps_lo = int_epsilon(sigma_lo)
+        eps_lo = pre_epsilon(sigma_lo)
         if eps_lo <= target_epsilon:
             return sigma_lo  # feasible on the full grid too
-        hi = _bracketed_secant(int_epsilon, target_epsilon, sigma_lo, eps_lo, sigma_hi, eps_hi, 0.0)
+        hi = _bracketed_secant(pre_epsilon, target_epsilon, sigma_lo, eps_lo, sigma_hi, eps_hi, 0.0)
         step = 1.1  # the full-grid solution sits just below the integer one
     else:
         if not full_epsilon(sigma_hi) <= target_epsilon:

@@ -141,7 +141,6 @@ def test_calibration_prices_few_fractional_orders(monkeypatch):
     for spec, *_ in PINNED:
         events, steps, rate, target, delta = spec_args(spec)
         accounting.sgm_rdp_curve.cache_clear()
-        accounting._fractional_gammas.cache_clear()
         priced.append(0)
         calibrate_sigma_f(events, steps, rate, target, delta)
     assert sum(priced) / len(priced) <= 200.0, priced

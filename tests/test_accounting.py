@@ -1,11 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dpsynth import BudgetExhaustedError, InvalidArgumentError, MechanismEvent, PrivacySpec, RdpCurve, accounting
 from dpsynth.accounting import (
+    SIGMA_SEARCH_RANGE,
     SIGMA_SEARCH_REL_TOL,
     _EXP_ZERO_CUT,
     _exp,
@@ -101,6 +103,21 @@ class TestSgmRdp:
             log_a = _fractional_log_moments(q, sigma, np.array([float(alpha)]))[0]
             quad = log_a / (alpha - 1.0)
             assert quad == pytest.approx(closed, rel=1e-8)
+
+    def test_noise_scale_too_small_to_price_is_refused_before_allocating(self):
+        # The quadrature's first pass would hold 41M-node arrays of about 326 MB each.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgumentError, match="^noise scale 0.0001 at sampling rate 0.5 is too small"):
+                sgm_rdp_curve(0.5, 1e-4, default_orders())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_search_floor_is_priced_on_the_default_span(self):
+        # sigma 0.01 on the largest default order takes 25,556 panels in the first pass.
+        assert sgm_rdp_curve(0.5, SIGMA_SEARCH_RANGE[0], (127.5,))[0] > 0.0
 
     def test_curve_matches_scalar_path(self):
         orders = default_orders()
@@ -246,6 +263,12 @@ class TestCompose:
         double = compose([ev, ev])
         for g1, g2 in zip(single.gammas, double.gammas):
             assert g2 == pytest.approx(2 * g1, rel=1e-12)
+
+    def test_repetitions_float64_cannot_hold_are_refused(self):
+        MechanismEvent("mean_query", q=0.1, sigma=4.0, repetitions=2**53)
+        for reps in (2**53 + 1, 2**1100):
+            with pytest.raises(InvalidArgumentError, match=r"^repetitions must be in \[1, 2\*\*53\]"):
+                MechanismEvent("mean_query", q=0.1, sigma=4.0, repetitions=reps)
 
     def test_repetitions_multiply(self):
         ev5 = MechanismEvent("dpsgd_step", q=0.1, sigma=4.0, repetitions=5)
@@ -398,6 +421,12 @@ class TestCalibration:
     def test_steps_are_refused_before_any_curve(self, monkeypatch, steps):
         monkeypatch.setattr(accounting, "sgm_rdp_curve", self.no_curve)
         with pytest.raises(InvalidArgumentError, match="^steps must be a non-negative integer"):
+            calibrate_sigma_f(QUERY_EVENTS, steps, 0.1, 2.0, 1e-5)
+
+    @pytest.mark.parametrize("steps", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_steps_float64_cannot_hold_are_refused_before_any_curve(self, monkeypatch, steps):
+        monkeypatch.setattr(accounting, "sgm_rdp_curve", self.no_curve)
+        with pytest.raises(InvalidArgumentError, match=r"^steps must be a non-negative integer of at most 2\*\*53"):
             calibrate_sigma_f(QUERY_EVENTS, steps, 0.1, 2.0, 1e-5)
 
     @pytest.mark.parametrize("rate,delta", [(math.nan, 1e-5), (0.0, 1e-5), (0.1, math.nan), (0.1, 1.0)])

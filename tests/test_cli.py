@@ -167,6 +167,32 @@ class TestAccount:
         assert captured.out == ""
         assert "fine_tune.steps must be a positive integer" in captured.err
 
+    def test_noise_scale_too_small_to_price_is_a_user_error(self, tmp_path, capsys):
+        # It used to end with exit 2: "ValueError: Maximum allowed size exceeded".
+        spec = {"target_epsilon": 2.0, "delta": 1e-5, "events": [{"kind": "mean_query", "q": 0.5, "sigma": 1e-200}]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["account", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "error: noise scale 1e-200 at sampling rate 0.5 is too small to price" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "key,spec",
+        [
+            ("repetitions", {"events": [{"kind": "mean_query", "q": 0.1, "sigma": 5.0, "repetitions": 2**1100}]}),
+            ("steps", {"events": [], "fine_tune": {"steps": 10**400, "sampling_rate": 0.1}}),
+        ],
+        ids=["repetitions", "steps"],
+    )
+    def test_counts_float64_cannot_hold_are_user_errors(self, tmp_path, capsys, key, spec):
+        # Both used to end with exit 2: "OverflowError: int too large to convert to float".
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"target_epsilon": 2.0, "delta": 1e-5, **spec}))
+        assert main(["account", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and "2**53" in err and "Traceback" not in err
+
     def test_total_never_reads_above_a_target_it_meets(self, tmp_path, capsys):
         # epsilon_total is 2.27826536635 here, just under the target; to 9
         # significant digits it read 2.27826537, above it.

@@ -5,15 +5,18 @@ fractional orders whose lower bound (the curve at the integer order below,
 plus log(1/delta)/(alpha-1)) can reach the integer minimum. These tests hold
 its result, order included, equal to `rdp_to_dp(compose(...))` on the full
 grid, and hold a quadrature over a subset of a grid, on the grid's span, to
-the full grid's bits.
+the full grid's bits. Calibration, which searches with the same pruned
+epsilon, is pinned on every grid, and a grid that is not strictly
+increasing above 1 is refused by both.
 """
 
 import numpy as np
 import pytest
 
-from dpsynth import InvalidArgumentError, MechanismEvent
+from dpsynth import BudgetExhaustedError, InvalidArgumentError, MechanismEvent
 from dpsynth.accounting import (
     _fractional_log_moments,
+    calibrate_sigma_f,
     compose,
     default_orders,
     epsilon_with_fine_tuning,
@@ -98,6 +101,66 @@ def test_partitioned_fine_tuning_and_empty_grid_are_refused():
         epsilon_with_fine_tuning([], fine, 1.0)
     with pytest.raises(InvalidArgumentError, match="empty curve"):
         epsilon_with_fine_tuning([], fine, 1e-5, ())
+
+
+BAD_GRIDS = [(64.0, 2.0, 2.5, 3.5), (2.0, 2.0, 3.5), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("orders", BAD_GRIDS, ids=["unsorted", "repeated", "order_one"])
+@pytest.mark.parametrize("events", [[], [MechanismEvent("mean_query", 0.05, 10.0, 7)]], ids=["no_events", "one_event"])
+def test_grid_not_increasing_above_one_is_refused(orders, events):
+    # Priced unchecked, the unsorted grid gave epsilon 4.9185 at order 3.5.
+    fine = MechanismEvent("dpsgd_step", q=0.02, sigma=1.0, repetitions=500)
+    with pytest.raises(InvalidArgumentError, match="order"):
+        epsilon_with_fine_tuning(events, fine, 1e-5, orders)
+    with pytest.raises(InvalidArgumentError, match="order"):
+        calibrate_sigma_f(events, 500, 0.02, 3.0, 1e-5, orders)
+
+
+# (query events, steps, rate, target, delta) and float.hex(calibrate_sigma_f(...)) on each grid
+CALIBRATIONS = {
+    "none": ([], 500, 0.02, 3.0, 1e-5),
+    "one": ([MechanismEvent("mean_query", 0.05, 10.0, 7)], 1500, 0.02, 4.0, 1e-5),
+    "partitioned": (
+        [
+            MechanismEvent("mode_query", 0.1, 8.0, 3, "label=0"),
+            MechanismEvent("mode_query", 0.08, 12.0, 5, "label=1"),
+            MechanismEvent("mean_query", 1.0, 20.0, 2),
+        ],
+        800, 0.05, 6.0, 1e-3,
+    ),
+    # Every integer order costs more than the target: only orders above 64 reach it.
+    "tight": ([], 20, 0.01, 0.15, 1e-5),
+}
+CALIBRATION_PINS = {
+    ("default", "none"): "0x1.1b975639aa9dbp+0",
+    ("default", "one"): "0x1.42be97783e6d7p+0",
+    ("default", "partitioned"): "0x1.45f0f0ca56137p+0",
+    ("default", "tight"): "0x1.847d9e1135562p+1",
+    # no integer orders: the pre-bracket searches the full grid
+    ("fractional", "none"): "0x1.2253854364334p+0",
+    ("fractional", "one"): "0x1.42bdb168aab38p+0",
+    ("fractional", "partitioned"): "0x1.473ebcca60456p+0",
+    ("integers", "none"): "0x1.1c97c5b8eb201p+0",
+    ("integers", "one"): "0x1.42d5f339ddec5p+0",
+    ("integers", "partitioned"): "0x1.492cb1e12819fp+0",
+    ("mixed", "none"): "0x1.1c94ef2f7a4a6p+0",
+    ("mixed", "one"): "0x1.42c054e7f6029p+0",
+    ("mixed", "partitioned"): "0x1.45f0ecf52842fp+0",
+    ("mixed", "tight"): "0x1.90f23a9ab6238p+1",
+}
+
+
+@pytest.mark.parametrize("grid,case", sorted(CALIBRATION_PINS))
+def test_calibration_is_pinned_on_every_grid(grid, case):
+    assert float.hex(calibrate_sigma_f(*CALIBRATIONS[case], GRIDS[grid])) == CALIBRATION_PINS[grid, case]
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_calibration_refuses_a_budget_no_noise_scale_meets(grid):
+    query = [MechanismEvent("mean_query", 0.05, 10.0, 7)]
+    with pytest.raises(BudgetExhaustedError, match="^even noise scale 1000.0 leaves epsilon above target 1 "):
+        calibrate_sigma_f(query, 10_000_000, 1.0, 1.0, 1e-5, GRIDS[grid])
 
 
 FRACTIONAL = np.array([a for a in default_orders() if not float(a).is_integer()])
