@@ -435,8 +435,11 @@ class MechanismEvent:
             raise InvalidArgumentError(f"sampling rate must be in (0, 1], got {self.q}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise InvalidArgumentError(f"noise scale must be positive and finite, got {self.sigma}")
+        if isinstance(self.repetitions, bool) or not isinstance(self.repetitions, (int, np.integer)):
+            raise InvalidArgumentError(f"repetitions must be an integer, got {self.repetitions!r}")
         if not 1 <= self.repetitions <= _MAX_COUNT:
             raise InvalidArgumentError(f"repetitions must be in [1, 2**53], got {self.repetitions!r}")
+        object.__setattr__(self, "repetitions", int(self.repetitions))  # JSON-safe in the ledger
 
     def to_dict(self) -> dict:
         return {
@@ -451,12 +454,10 @@ class MechanismEvent:
     def from_dict(cls, d: dict) -> "MechanismEvent":
         """The event a JSON object describes; a value of the wrong JSON type is refused, never coerced."""
         q, sigma = json_number(d["q"], "event q"), json_number(d["sigma"], "event sigma")
-        repetitions, partition = d.get("repetitions", 1), d.get("partition")
-        if isinstance(repetitions, bool) or not isinstance(repetitions, int):
-            raise InvalidArgumentError(f"event repetitions must be an integer, got {repetitions!r}")
+        partition = d.get("partition")
         if partition is not None and not isinstance(partition, str):
             raise InvalidArgumentError(f"event partition must be a string or null, got {partition!r}")
-        return cls(d["kind"], q, sigma, repetitions, partition)
+        return cls(d["kind"], q, sigma, d.get("repetitions", 1), partition)
 
 
 def compose(events: Sequence[MechanismEvent], orders: Sequence[float] | None = None) -> RdpCurve:

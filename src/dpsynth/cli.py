@@ -201,6 +201,9 @@ def cmd_sample(args) -> int:
 def cmd_evaluate(args) -> int:
     synth = data_io.load_container(args.synthetic)
     real = data_io.load_container(args.real)
+    for path, c in ((args.synthetic, synth), (args.real, real)):  # min and max carry a NaN: no full-size mask
+        if c.count and not -float("inf") < c.pixels.min() <= c.pixels.max() < float("inf"):
+            raise InvalidArgumentError(f"{path}: a pixel is not finite")
     frechet = pipeline.fit_frechet(real.pixels, (real.height, real.width, real.channels), args.feature, args.feature_dim)
     _print_kv("frechet", f"{frechet(synth.pixels):.9g}")
     _print_kv("n_real", real.count)

@@ -25,7 +25,8 @@ from .diffusion import sample  # noqa: F401  bench/test_bench.py checks that the
 EIGENVALUE_TRUNCATION = 1e-10
 REGULARIZATION = 1e-6
 LOSS_CHUNK = 1000  # draws per denoiser batch; the draw order depends on it
-PROBE_BLOCK_BYTES = 4 * 1024 * 1024  # least size of a block of [pixels, 1] rows the probe predicts at once
+ROW_BLOCK_BYTES = 1024 * 1024  # bytes of input rows a blocked product takes at once
+SMALL_PRODUCT = 10**6  # OpenBLAS runs an M*N*K at or below about this on another kernel, which rounds differently
 
 
 FEATURE_KINDS = ("downsample", "pca")
@@ -51,9 +52,9 @@ class FeatureExtractor:
         """PCA fit on reference data; a no-op for the downsampling map.
 
         The components are the top eigenvectors of the D x D scatter matrix of
-        the centred data, O(N*D^2 + D^3) with no N x D factor kept. This
-        assumes N >= D, as for a reference dataset; with fewer rows than
-        pixels a thin SVD would be cheaper.
+        the centred data, O(N*D^2 + D^3), summed over row blocks so that no
+        N x D array is made. This assumes N >= D, as for a reference dataset;
+        with fewer rows than pixels a thin SVD would be cheaper.
         """
         if self.kind != "pca":
             return self
@@ -61,8 +62,12 @@ class FeatureExtractor:
         if x.shape[0] <= self.dim:
             raise InvalidArgumentError("PCA fit needs more samples than output dimensions")
         self._mean = x.mean(axis=0)
-        xc = x - self._mean
-        _, vecs = np.linalg.eigh(xc.T @ xc)
+        d = x.shape[1]
+        scatter = np.zeros((d, d))
+        for a, b in _row_blocks(len(x), d, d * d):
+            xc = x[a:b] - self._mean
+            scatter += xc.T @ xc
+        _, vecs = np.linalg.eigh(scatter)
         # eigh sorts ascending: keep the last dim eigenvectors, largest first.
         comps = vecs[:, : -self.dim - 1 : -1].T
         # Fix signs so the largest-magnitude loading is positive: determinism.
@@ -76,7 +81,10 @@ class FeatureExtractor:
         if self.kind == "pca":
             if self._components is None:
                 raise InvalidArgumentError("PCA extractor used before fit()")
-            return (x - self._mean) @ self._components.T
+            feats = np.empty((len(x), self.dim))
+            for a, b in _row_blocks(len(x), x.shape[1], self._components.size):
+                np.matmul(x[a:b] - self._mean, self._components.T, out=feats[a:b])
+            return feats
         h, w, c = shape
         if self.dim < c:
             raise InvalidArgumentError(
@@ -190,14 +198,25 @@ def train_probe_classifier(
     return float(np.mean(pred == real_test.labels))
 
 
-def _probe_logits(pixels: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """[pixels, 1] @ w over blocks of PROBE_BLOCK_BYTES of rows, the last up to twice that; bit-equal to one product.
+def _row_blocks(n: int, width: int, weights: int):
+    """(start, stop) row blocks over n rows of `width` floats, each multiplied by a matrix of `weights` entries.
 
-    BLAS runs a small product on another kernel, whose sums round differently, so no block is short.
+    A block holds as many rows as ROW_BLOCK_BYTES does, or more where its
+    product would not pass SMALL_PRODUCT multiply-adds, and the last one takes
+    the tail (under two blocks), so a set of under two blocks is one whole
+    product. Each row's product is then bit-equal to the whole product's.
     """
-    rows = max(1, PROBE_BLOCK_BYTES // (8 * w.shape[0]))
-    bounds = [0, *range(rows, len(pixels) // rows * rows, rows), len(pixels)]
-    return np.concatenate([np.hstack([pixels[a:b], np.ones((b - a, 1))]) @ w for a, b in zip(bounds, bounds[1:])])
+    rows = max(1, ROW_BLOCK_BYTES // (8 * width), SMALL_PRODUCT // weights + 1)
+    bounds = [0, *range(rows, n // rows * rows, rows), n]
+    return zip(bounds, bounds[1:])
+
+
+def _probe_logits(pixels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[pixels, 1] @ w in row blocks; bit-equal to one product."""
+    logits = np.empty((len(pixels), w.shape[1]))
+    for a, b in _row_blocks(len(pixels), w.shape[0], w.size):
+        np.matmul(np.hstack([pixels[a:b], np.ones((b - a, 1))]), w, out=logits[a:b])
+    return logits
 
 
 def denoising_loss_estimate(
@@ -210,8 +229,8 @@ def denoising_loss_estimate(
     """Monte-Carlo estimate of the label-conditional noise-prediction objective.
 
     Fixed number of (example, timestep, noise) triples drawn from one seeded
-    stream, LOSS_CHUNK at a time; the same seed always reproduces the same
-    estimate.
+    stream, LOSS_CHUNK at a time, each chunk's forward pass in row blocks; the
+    same seed always reproduces the same estimate.
     """
     if draws < 1:
         raise InvalidArgumentError("need at least one draw")
@@ -221,6 +240,7 @@ def denoising_loss_estimate(
     pixels = ds.pixels
     labels = ds.labels
     abars = schedule.alpha_bars
+    weights = min(math.prod(params.manifest.block_shapes()[k]) for k in ("W1", "W2", "W3"))
     total = 0.0
     for start in range(0, draws, LOSS_CHUNK):
         b = min(LOSS_CHUNK, draws - start)
@@ -228,11 +248,12 @@ def denoising_loss_estimate(
         ts = gen.integers(1, schedule.num_steps + 1, size=b)
         es = gen.standard_normal((b, pixels.shape[1]))
         ab = abars[ts - 1][:, None]
-        x_t = pixels[ex]  # x_t = sqrt(ab) * x0 + sqrt(1 - ab) * es, in the gathered rows
-        x_t *= np.sqrt(ab)
-        x_t += np.sqrt(1.0 - ab) * es
-        out = denoiser_forward(params, x_t, ts, labels[ex])
+        out = np.empty_like(es)
+        for a, z in _row_blocks(b, pixels.shape[1], weights):
+            x_t = pixels[ex[a:z]]  # x_t = sqrt(ab) * x0 + sqrt(1 - ab) * es, in the gathered rows
+            x_t *= np.sqrt(ab[a:z])
+            x_t += np.sqrt(1.0 - ab[a:z]) * es[a:z]
+            out[a:z] = denoiser_forward(params, x_t, ts[a:z], labels[ex[a:z]])
         out -= es
         total += float(np.sum(np.square(out, out=out)))
     return total / draws
-

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -269,6 +270,17 @@ class TestCompose:
         for reps in (2**53 + 1, 2**1100):
             with pytest.raises(InvalidArgumentError, match=r"^repetitions must be in \[1, 2\*\*53\]"):
                 MechanismEvent("mean_query", q=0.1, sigma=4.0, repetitions=reps)
+
+    @pytest.mark.parametrize("reps", [2.5, True, 3.0, "3"], ids=["fraction", "bool", "integral_float", "text"])
+    def test_repetitions_that_are_not_integers_are_refused(self, reps):
+        # 2.5 used to construct, and compose charged two and a half releases.
+        with pytest.raises(InvalidArgumentError, match=r"^repetitions must be an integer"):
+            MechanismEvent("mean_query", 0.1, 4.0, reps)
+
+    def test_numpy_integer_repetitions_are_held_as_int(self):
+        ev = MechanismEvent("mean_query", 0.1, 4.0, np.int64(3))
+        assert type(ev.repetitions) is int and ev == MechanismEvent("mean_query", 0.1, 4.0, 3)
+        assert json.loads(json.dumps(ev.to_dict()))["repetitions"] == 3
 
     def test_repetitions_multiply(self):
         ev5 = MechanismEvent("dpsgd_step", q=0.1, sigma=4.0, repetitions=5)

@@ -386,6 +386,43 @@ class TestEndToEndCli:
         assert set(parse_kv(capsys.readouterr().out)) == {"frechet", "n_real", "n_synth", "acc", "loss_p"}
         assert peak < 4.5 * real.stat().st_size
 
+    def test_evaluate_holds_one_copy_of_the_real_set(self, tmp_path, capsys):
+        # 10,000 real 28x28 images: the pixels once, and row blocks of them
+        # in the PCA fit, the projection, the probe and the loss.
+        real, synth, ck = tmp_path / "real.dpc", tmp_path / "synth.dpc", tmp_path / "model.ckpt"
+        ds = generate_toy_glyphs(1000, 10, (28, 28, 1), RngSeed(3))
+        save_container(real, "sensitive", ds.pixels, (28, 28, 1), ds.labels)
+        s = generate_toy_glyphs(40, 10, (28, 28, 1), RngSeed(4))
+        save_container(synth, "synthetic", s.pixels, (28, 28, 1), s.labels)
+        save_checkpoint(ck, init_params(ParamManifest(28, 28, 1), RngSeed(5)), NoiseSchedule.linear(50))
+        del ds, s
+        tracemalloc.start()
+        try:
+            rc = main(["evaluate", "--synthetic", str(synth), "--real", str(real), "--feature", "pca",
+                       "--checkpoint", str(ck)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert set(parse_kv(capsys.readouterr().out)) == {"frechet", "n_real", "n_synth", "acc", "loss_p"}
+        assert peak < 1.75 * real.stat().st_size
+
+    @pytest.mark.parametrize("feature", ["pca", "downsample"])
+    @pytest.mark.parametrize("side", ["real", "synthetic"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_evaluate_refuses_a_pixel_that_is_not_finite(self, tmp_path, toy_container, capsys, feature, side, value):
+        # A NaN used to end with exit 2 (under pca, "Eigenvalues did not converge").
+        bad = tmp_path / "bad.dpc"
+        c = load_container(toy_container)
+        pixels = np.array(c.pixels)
+        pixels[7, 3] = value
+        save_container(bad, c.kind, pixels, (c.height, c.width, c.channels), c.labels)
+        paths = {"real": str(toy_container), "synthetic": str(toy_container), side: str(bad)}
+        rc = main(["evaluate", "--synthetic", paths["synthetic"], "--real", paths["real"], "--feature", feature])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert f"error: {bad}: a pixel is not finite" in err and "Traceback" not in err
+
     def test_bad_config_is_user_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"central": {"kind": "median"}}))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,38 @@ from dpsynth.metrics import (
 
 import oracles
 from oracles import frechet_diagonal_oracle
+
+
+def _block_rows(width, weights):
+    """Rows in each full block that `_row_blocks` makes."""
+    (_, rows), *_ = metrics_mod._row_blocks(4 * 10**6, width, weights)
+    return rows
+
+
+def _traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("width,weights", [(785, 7850), (65, 130), (784, 784 * 784), (1, 1)])
+    def test_blocks_cover_the_rows_and_none_is_small(self, width, weights):
+        rows = _block_rows(width, weights)
+        # As many rows as ROW_BLOCK_BYTES holds, or the fewest that make a product past SMALL_PRODUCT.
+        assert rows * weights > metrics_mod.SMALL_PRODUCT
+        assert rows == max(1, metrics_mod.ROW_BLOCK_BYTES // (8 * width)) or (rows - 1) * weights <= metrics_mod.SMALL_PRODUCT
+        for n in (0, 1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 5 * rows + 3):
+            blocks = list(metrics_mod._row_blocks(n, width, weights))
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+            # Every block is full, the last takes the tail, and a set of under two blocks is one.
+            assert all(b - a == rows for a, b in blocks[:-1])
+            assert len(blocks) == 1 or rows <= blocks[-1][1] - blocks[-1][0] < 2 * rows
 
 
 class TestFrechetDistance:
@@ -146,6 +180,45 @@ class TestFeatureExtractor:
         fd_ref = frechet_distance((other - mu) @ ref.T, (x - mu) @ ref.T)
         assert fd == pytest.approx(fd_ref, rel=1e-9)
 
+    def test_pca_components_stay_close_to_the_whole_scatter(self):
+        # The scatter is summed over row blocks, so its last bits differ from
+        # one product's; the components and the distance barely move.
+        gen = np.random.default_rng(12)
+        n, d, dim = 6000, 96, 16
+        assert n > 4 * _block_rows(d, d * d)
+        basis, _ = np.linalg.qr(gen.standard_normal((d, d)))
+        x = 0.5 + (gen.standard_normal((n, d)) * 0.9 ** np.arange(d)) @ basis.T
+        ex = FeatureExtractor("pca", dim).fit(x)
+        xc = x - x.mean(axis=0)
+        vecs = np.linalg.eigh(xc.T @ xc)[1][:, : -dim - 1 : -1].T
+        for got, want in zip(ex._components, vecs):
+            assert min(np.abs(got - want).max(), np.abs(got + want).max()) < 1e-11
+        other = 0.5 + gen.standard_normal((500, d)) @ basis.T * 0.5
+        shape = (8, 12, 1)
+        fd = frechet_distance(ex.extract(other, shape), ex.extract(x, shape))
+        ref = np.where((vecs[np.arange(dim), np.abs(vecs).argmax(axis=1)] < 0)[:, None], -vecs, vecs)
+        mu = x.mean(axis=0)
+        assert fd == pytest.approx(frechet_distance((other - mu) @ ref.T, (x - mu) @ ref.T), rel=1e-12)
+
+    def test_pca_projection_is_bit_identical_to_one_whole_product(self):
+        gen = np.random.default_rng(13)
+        d = 784
+        ex = FeatureExtractor("pca", 16).fit(gen.random((1000, d)))
+        rows = _block_rows(d, ex._components.size)
+        pixels = gen.random((3000, d))
+        for n in (0, rows - 1, rows + 1, 2 * rows + 1, 3000):
+            got = ex.extract(pixels[:n], (28, 28, 1))
+            want = (pixels[:n] - ex._mean) @ ex._components.T
+            assert got.shape == (n, 16) and np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+    def test_pca_fit_and_projection_hold_no_copy_of_the_set(self):
+        # Blocks of rows only: from 2,000 to 8,000 rows of 784 pixels the peak
+        # grows by the projected features, not by a centred copy.
+        gen = np.random.default_rng(14)
+        small, big = gen.random((2000, 784)), gen.random((8000, 784))
+        peaks = [_traced_peak(lambda: FeatureExtractor("pca", 16).fit(x).extract(x, (28, 28, 1))) for x in (small, big)]
+        assert peaks[1] - peaks[0] < 0.1 * (big.nbytes - small.nbytes), peaks
+
     def test_dimension_cap(self):
         with pytest.raises(InvalidArgumentError):
             FeatureExtractor("downsample", 65)
@@ -177,11 +250,13 @@ class TestProbeClassifier:
         with pytest.raises(InvalidArgumentError, match="single-class"):
             train_probe_classifier(single, toy_ds)
 
-    @pytest.mark.parametrize("d,classes", [(784, 10), (64, 2)], ids=["28x28-10", "8x8-2"])
+    @pytest.mark.parametrize(
+        "d,classes", [(784, 10), (784, 2), (64, 10), (64, 2)], ids=["28x28-10", "28x28-2", "8x8-10", "8x8-2"]
+    )
     def test_logits_are_bit_identical_to_one_whole_product(self, d, classes):
         # Blocks of `rows`: one block (N = 1, rows - 1, rows + 1), a block and
         # a block of rows + 1, and a block and one of 2 * rows - 1.
-        rows = metrics_mod.PROBE_BLOCK_BYTES // (8 * (d + 1))
+        rows = _block_rows(d + 1, (d + 1) * classes)
         gen = np.random.default_rng(d)
         w = gen.standard_normal((d + 1, classes))
         for n in (1, rows - 1, rows + 1, 2 * rows + 1, 3 * rows - 1):
@@ -189,6 +264,13 @@ class TestProbeClassifier:
             got = metrics_mod._probe_logits(pixels, w)
             want = oracles.probe_logits(pixels, w)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+    def test_logits_hold_no_copy_of_the_test_set(self):
+        gen = np.random.default_rng(15)
+        w = gen.standard_normal((785, 10))
+        small, big = gen.random((2000, 784)), gen.random((8000, 784))
+        peaks = [_traced_peak(lambda: metrics_mod._probe_logits(x, w)) for x in (small, big)]
+        assert peaks[1] - peaks[0] < 0.1 * (big.nbytes - small.nbytes), peaks
 
 
 def _exact_linear_denoiser():
@@ -250,3 +332,26 @@ class TestDenoisingLossEstimate:
         got = denoising_loss_estimate(params, sched, toy_ds, RngSeed(7), draws=draws)
         want = oracles.denoising_loss_estimate(params, sched, toy_ds.pixels, toy_ds.labels, RngSeed(7), draws)
         assert got == want
+
+    @pytest.mark.parametrize("hidden", [16, 32, 128], ids=["h16", "h32", "glyph28"])
+    def test_bit_identical_to_one_forward_per_chunk(self, hidden):
+        # glyph28's model runs each chunk in row blocks; the narrow ones run it whole.
+        m = ParamManifest(28, 28, 1, hidden1=hidden, hidden2=hidden, time_dim=16, num_classes=10, label_dim=8)
+        params, sched = init_params(m, RngSeed(8)), NoiseSchedule.linear(50)
+        ds = generate_toy_glyphs(30, 10, (28, 28, 1), RngSeed(9))
+        for draws in (LOSS_CHUNK - 1, 2 * LOSS_CHUNK + 7, LOSS_CHUNK + 400):
+            got = denoising_loss_estimate(params, sched, ds, RngSeed(10), draws=draws)
+            want = oracles.denoising_loss_estimate(params, sched, ds.pixels, ds.labels, RngSeed(10), draws)
+            assert got.hex() == want.hex(), draws
+
+    def test_peak_is_one_chunk_of_draws_and_output_at_any_size(self):
+        # The chunk's noise and output, plus its forward's row blocks; the
+        # whole-chunk forward held about 5.7 chunks.
+        m = ParamManifest(28, 28, 1, hidden1=128, hidden2=128, time_dim=16, num_classes=10, label_dim=8)
+        params, sched = init_params(m, RngSeed(11)), NoiseSchedule.linear(50)
+        gen = np.random.default_rng(16)
+        chunk_bytes = LOSS_CHUNK * 784 * 8
+        for n in (2000, 8000):
+            ds = LabeledDataset(gen.random((n, 784)), gen.integers(0, 10, n), 10, (28, 28, 1))
+            peak = _traced_peak(lambda: denoising_loss_estimate(params, sched, ds, RngSeed(12), draws=2 * LOSS_CHUNK))
+            assert peak < 4 * chunk_bytes, (n, peak)
